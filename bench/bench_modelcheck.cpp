@@ -4,12 +4,15 @@
 // tools reach.
 //
 // Series reported:
-//   * ModelCheck_Explore/<protocol>/n: reachable-graph construction
+//   * ModelCheck_Explore<protocol>/n:  reachable-graph construction
 //                                      (counter: nodes, transitions);
+//   * ModelCheck_ExploreDacReduced:    the same under each reduction mode;
 //   * ModelCheck_Valence/n:            valence fixpoint on the DAC graph;
-//   * ModelCheck_SoloOracle/n:         the solo-termination oracle across
-//                                      every reachable configuration (the
-//                                      dominant cost of check_dac_task).
+//   * ModelCheck_FuzzThroughput:       schedule-fuzzer runs on 8-DAC;
+//   * ModelCheck_FullDacCheck/n:       check_dac_task end to end: the
+//                                      flagged exploration, the property
+//                                      scan and the solo-termination pass
+//                                      from every reachable node.
 
 #include <benchmark/benchmark.h>
 
@@ -193,7 +196,7 @@ void ModelCheck_FullDacCheck(benchmark::State& state) {
     benchmark::DoNotOptimize(report.value().node_count);
   }
 }
-BENCHMARK(ModelCheck_FullDacCheck)->Arg(2)->Arg(3)->Arg(4)
+BENCHMARK(ModelCheck_FullDacCheck)->Arg(2)->Arg(3)->Arg(4)->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "base/check.h"
 #include "base/hashing.h"
+#include "obs/obs.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -38,32 +39,118 @@ std::vector<Value> decided_values(const sim::Config& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Solo-run termination: from `config`, process pid runs alone; over every
-// nondeterministic object outcome it must reach kDecided (or kAborted when
-// allow_abort) without revisiting a configuration. Memoized per pid across
-// all start configurations.
+// Solo-run termination: from a start node, process pid runs alone; over
+// every nondeterministic object outcome it must reach kDecided (or kAborted
+// when allow_abort) without revisiting a configuration, visiting at most
+// node_bound running configurations per start node (memo hits included).
+// Verdicts are memoized per pid across all start nodes, keyed by
+// configuration: nodes that differ only in their path flag share one entry.
+//
+// Successors come from one of two sources. On a complete unreduced graph
+// every solo successor is already a node behind a pid-labelled edge, listed
+// in enumerate_successors order, so the walk follows those edges and keeps
+// one memo byte per configuration class. A reduced, truncated or interrupted
+// graph need not hold those successors, so the walk re-simulates them and
+// memoizes by encoded configuration. Both visit configurations in the same
+// order, so they report the same first failing node and the same detail.
 // ---------------------------------------------------------------------------
+
+// For each node, the smallest node id with an equal configuration: nodes
+// are bucketed by configuration hash, and colliding configurations are told
+// apart by operator==.
+std::vector<std::uint32_t> config_classes(const ConfigGraph& graph) {
+  const std::vector<Node>& nodes = graph.nodes();
+  const auto n = static_cast<std::uint32_t>(nodes.size());
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> by_hash(n);
+  std::vector<std::int64_t> words;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    nodes[id].config.encode_into(&words);
+    by_hash[id] = {hash_words(words), id};
+  }
+  std::sort(by_hash.begin(), by_hash.end());
+  std::vector<std::uint32_t> rep(n);
+  for (std::size_t run = 0; run < n;) {
+    std::size_t end = run + 1;
+    while (end < n && by_hash[end].first == by_hash[run].first) ++end;
+    for (std::size_t i = run; i < end; ++i) {
+      const std::uint32_t id = by_hash[i].second;
+      rep[id] = id;
+      for (std::size_t j = run; j < i; ++j) {
+        const std::uint32_t other = by_hash[j].second;
+        if (rep[other] == other && nodes[other].config == nodes[id].config) {
+          rep[id] = other;
+          break;
+        }
+      }
+    }
+    run = end;
+  }
+  return rep;
+}
 
 class SoloChecker {
  public:
-  SoloChecker(const sim::Protocol& protocol, int pid, bool allow_abort,
-              std::uint64_t node_bound)
+  // `classes` (from config_classes) selects the graph source and must come
+  // from a complete unreduced graph; null selects the simulator.
+  SoloChecker(const sim::Protocol& protocol, const ConfigGraph& graph,
+              const std::vector<std::uint32_t>* classes, int pid,
+              bool allow_abort, std::uint64_t node_bound)
       : protocol_(protocol),
+        graph_(graph),
+        classes_(classes),
         pid_(pid),
         allow_abort_(allow_abort),
-        node_bound_(node_bound) {}
+        node_bound_(node_bound) {
+    if (classes_ != nullptr) class_memo_.assign(classes_->size(), kUnseen);
+  }
 
-  // Returns true iff every solo continuation of pid from `config`
+  // Returns true iff every solo continuation of pid from node `start`
   // terminates acceptably. On failure fills *detail.
-  bool terminates(const sim::Config& config, std::string* detail) {
+  bool terminates(std::uint32_t start, std::string* detail) {
     nodes_visited_ = 0;
-    return dfs(config, detail);
+    depth_ = 0;
+    bool ok = enter(graph_.nodes()[start].config, start, detail);
+    while (ok && depth_ > 0) {
+      // Grow first: enter() writes frames_[depth_] and must not move the
+      // parent frame whose successor it reads.
+      if (depth_ == frames_.size()) frames_.emplace_back();
+      Frame& top = frames_[depth_ - 1];
+      if (classes_ != nullptr) {
+        const std::vector<Edge>& edges = graph_.edges()[top.node];
+        while (top.next < edges.size() && edges[top.next].pid != pid_) {
+          ++top.next;
+        }
+        if (top.next < edges.size()) {
+          const std::uint32_t to = edges[top.next++].to;
+          ok = enter(graph_.nodes()[to].config, to, detail);
+          continue;
+        }
+      } else if (top.next < top.succs.size()) {
+        ok = enter(top.succs[top.next++].config, /*node=*/0, detail);
+        continue;
+      }
+      *top.memo = kGood;
+      --depth_;
+    }
+    // Forget the failed path so later starts re-examine it.
+    while (depth_ > 0) *frames_[--depth_].memo = kUnseen;
+    return ok;
   }
 
  private:
-  enum class Memo : char { kInProgress, kGood };
+  enum Memo : std::uint8_t { kUnseen = 0, kInProgress, kGood };
 
-  bool dfs(const sim::Config& config, std::string* detail) {
+  struct Frame {
+    std::uint8_t* memo = nullptr;  // this configuration's memo entry
+    std::uint32_t node = 0;        // graph source: the node being expanded
+    std::size_t next = 0;          // next edge (graph) or successor (sim)
+    std::vector<sim::Successor> succs;  // simulator source only
+  };
+
+  // Visits `config` (graph node `node` under the graph source): accepts it,
+  // pushes a frame to expand it, or fails with *detail set.
+  bool enter(const sim::Config& config, std::uint32_t node,
+             std::string* detail) {
     const sim::ProcessState& ps = config.procs[static_cast<size_t>(pid_)];
     if (ps.decided()) return true;
     if (ps.aborted()) {
@@ -81,35 +168,45 @@ class SoloChecker {
       return false;
     }
 
-    const auto key = config.encode();
-    auto [it, inserted] = memo_.try_emplace(key, Memo::kInProgress);
-    if (!inserted) {
-      if (it->second == Memo::kGood) return true;
+    std::uint8_t& memo = classes_ != nullptr
+                             ? class_memo_[(*classes_)[node]]
+                             : sim_memo_[config.encode()];
+    if (memo == kGood) return true;
+    if (memo == kInProgress) {
       // Revisiting an in-progress configuration: pid can cycle solo forever.
       *detail = "process p" + std::to_string(pid_) +
                 " can take infinitely many solo steps without terminating";
       return false;
     }
-
-    std::vector<sim::Successor> succs;
-    sim::enumerate_successors(protocol_, config, pid_, &succs);
-    for (const sim::Successor& succ : succs) {
-      if (!dfs(succ.config, detail)) {
-        // Leave the entry as kInProgress-erased so other paths re-examine.
-        memo_.erase(key);
-        return false;
-      }
+    memo = kInProgress;
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    Frame& frame = frames_[depth_++];
+    frame.memo = &memo;
+    frame.node = node;
+    frame.next = 0;
+    if (classes_ == nullptr) {
+      frame.succs.clear();
+      sim::enumerate_successors(protocol_, config, pid_, &frame.succs);
     }
-    memo_[key] = Memo::kGood;
     return true;
   }
 
   const sim::Protocol& protocol_;
+  const ConfigGraph& graph_;
+  const std::vector<std::uint32_t>* classes_;
   int pid_;
   bool allow_abort_;
   std::uint64_t node_bound_;
   std::uint64_t nodes_visited_ = 0;
-  std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
+  // The DFS stack is frames_[0, depth_); frames above it keep their succs
+  // capacity for reuse.
+  std::vector<Frame> frames_;
+  std::size_t depth_ = 0;
+  // Graph source: indexed by class representative. Simulator source: keyed
+  // by encoded configuration (unordered_map keeps entry addresses stable).
+  std::vector<std::uint8_t> class_memo_;
+  std::unordered_map<std::vector<std::int64_t>, std::uint8_t, KeyHash>
+      sim_memo_;
 };
 
 // ---------------------------------------------------------------------------
@@ -139,10 +236,11 @@ class WaitFreedomChecker {
       if (!in_subgraph(u)) continue;
       for (const Edge& e : graph_.edges()[u]) {
         if (e.pid != pid_ || !in_subgraph(e.to)) continue;
+        // A self-loop, or an edge inside a multi-node SCC, lies on a
+        // cycle; a single-node SCC without a self-loop has none.
         if (scc_id_[u] == scc_id_[e.to] &&
-            (u != e.to || true /* self-loop is a cycle */)) {
-          // Single-node SCC without self-loop: scc equal but no cycle.
-          if (u == e.to || scc_size_[scc_id_[u]] > 1) return u;
+            (u == e.to || scc_size_[scc_id_[u]] > 1)) {
+          return u;
         }
       }
     }
@@ -232,6 +330,14 @@ bool report_full(const TaskReport& report, const TaskCheckOptions& options) {
   return static_cast<int>(report.violations.size()) >= options.max_violations;
 }
 
+// A report that is full before the first node would certify nothing.
+Status validate_options(const char* checker, const TaskCheckOptions& options) {
+  if (options.max_violations >= 1) return Status::ok();
+  return invalid_argument(std::string(checker) +
+                          ": max_violations must be >= 1 (got " +
+                          std::to_string(options.max_violations) + ")");
+}
+
 }  // namespace
 
 bool TaskReport::violates(const std::string& property) const {
@@ -258,6 +364,10 @@ StatusOr<TaskReport> check_k_agreement_task(
     const std::vector<Value>& inputs, const TaskCheckOptions& options) {
   LBSA_CHECK(k >= 1);
   LBSA_CHECK(static_cast<int>(inputs.size()) == protocol->process_count());
+  if (Status s = validate_options("check_k_agreement_task", options);
+      !s.is_ok()) {
+    return s;
+  }
 
   Explorer explorer(protocol);
   StatusOr<ConfigGraph> graph_or = explorer.explore(options.explore);
@@ -322,6 +432,9 @@ StatusOr<TaskReport> check_dac_task(
   const int n = protocol->process_count();
   LBSA_CHECK(static_cast<int>(inputs.size()) == n);
   LBSA_CHECK(distinguished_pid >= 0 && distinguished_pid < n);
+  if (Status s = validate_options("check_dac_task", options); !s.is_ok()) {
+    return s;
+  }
 
   // Path flag: has any process other than p taken a step yet?
   Explorer explorer(protocol);
@@ -358,68 +471,80 @@ StatusOr<TaskReport> check_dac_task(
   report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
 
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const Node& node = graph.nodes()[id];
-    const sim::Config& config = node.config;
-    const std::vector<Value> decided = decided_values(config);
+  {
+    LBSA_OBS_SPAN(span, "check.properties", obs::kCatPhase, /*lane=*/0);
+    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
+      const Node& node = graph.nodes()[id];
+      const sim::Config& config = node.config;
+      const std::vector<Value> decided = decided_values(config);
 
-    // Agreement: at most one distinct decision.
-    if (decided.size() > 1) {
-      add_violation(&report, options, "agreement",
-                    "two distinct decisions",
-                    format_path(*protocol, graph, id));
-    }
+      // Agreement: at most one distinct decision.
+      if (decided.size() > 1) {
+        add_violation(&report, options, "agreement",
+                      "two distinct decisions",
+                      format_path(*protocol, graph, id));
+      }
 
-    // Validity: every decided value is the input of a process that has not
-    // aborted (abort is irrevocable, and decisions persist, so checking
-    // every reachable configuration is equivalent to the per-execution
-    // statement).
-    for (Value v : decided) {
-      bool witnessed = false;
-      for (size_t pid = 0; pid < config.procs.size(); ++pid) {
-        if (inputs[pid] == v && !config.procs[pid].aborted()) {
-          witnessed = true;
-          break;
+      // Validity: every decided value is the input of a process that has not
+      // aborted (abort is irrevocable, and decisions persist, so checking
+      // every reachable configuration is equivalent to the per-execution
+      // statement).
+      for (Value v : decided) {
+        bool witnessed = false;
+        for (size_t pid = 0; pid < config.procs.size(); ++pid) {
+          if (inputs[pid] == v && !config.procs[pid].aborted()) {
+            witnessed = true;
+            break;
+          }
+        }
+        if (!witnessed) {
+          add_violation(&report, options, "validity",
+                        "decided value " + value_to_string(v) +
+                            " has no non-aborting proposer",
+                        format_path(*protocol, graph, id));
         }
       }
-      if (!witnessed) {
-        add_violation(&report, options, "validity",
-                      "decided value " + value_to_string(v) +
-                          " has no non-aborting proposer",
+
+      // Only the distinguished process may abort.
+      for (size_t pid = 0; pid < config.procs.size(); ++pid) {
+        if (config.procs[pid].aborted() &&
+            static_cast<int>(pid) != distinguished_pid) {
+          add_violation(&report, options, "only-p-aborts",
+                        "process p" + std::to_string(pid) +
+                            " aborted but is not distinguished",
+                        format_path(*protocol, graph, id));
+        }
+      }
+
+      // Nontriviality: p aborted although no other process ever took a step.
+      if (config.procs[static_cast<size_t>(distinguished_pid)].aborted() &&
+          node.flag == 0) {
+        add_violation(&report, options, "nontriviality",
+                      "p aborted in a run where no other process took a step",
                       format_path(*protocol, graph, id));
       }
+      if (report_full(report, options)) return report;
     }
-
-    // Only the distinguished process may abort.
-    for (size_t pid = 0; pid < config.procs.size(); ++pid) {
-      if (config.procs[pid].aborted() &&
-          static_cast<int>(pid) != distinguished_pid) {
-        add_violation(&report, options, "only-p-aborts",
-                      "process p" + std::to_string(pid) +
-                          " aborted but is not distinguished",
-                      format_path(*protocol, graph, id));
-      }
-    }
-
-    // Nontriviality: p aborted although no other process ever took a step.
-    if (config.procs[static_cast<size_t>(distinguished_pid)].aborted() &&
-        node.flag == 0) {
-      add_violation(&report, options, "nontriviality",
-                    "p aborted in a run where no other process took a step",
-                    format_path(*protocol, graph, id));
-    }
-    if (report_full(report, options)) return report;
   }
 
   // Termination (a): from every reachable configuration, p running solo
   // decides or aborts. Termination (b): every q != p running solo decides.
+  const bool complete_unreduced = graph.reduction() == Reduction::kNone &&
+                                  !graph.truncated() && !graph.interrupted();
+  std::vector<std::uint32_t> classes;
+  if (complete_unreduced) {
+    LBSA_OBS_SPAN(span, "check.classes", obs::kCatPhase, /*lane=*/0);
+    classes = config_classes(graph);
+  }
   for (int pid = 0; pid < n; ++pid) {
+    LBSA_OBS_SPAN(span, "check.solo", obs::kCatPhase, /*lane=*/0);
+    span.arg("pid", pid);
     const bool is_p = (pid == distinguished_pid);
-    SoloChecker solo(*protocol, pid, /*allow_abort=*/is_p,
-                     options.solo_node_bound);
+    SoloChecker solo(*protocol, graph, complete_unreduced ? &classes : nullptr,
+                     pid, /*allow_abort=*/is_p, options.solo_node_bound);
     for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
       std::string detail;
-      if (!solo.terminates(graph.nodes()[id].config, &detail)) {
+      if (!solo.terminates(id, &detail)) {
         add_violation(&report, options,
                       is_p ? "termination(a)" : "termination(b)", detail,
                       format_path(*protocol, graph, id));

@@ -39,7 +39,8 @@ struct TaskCheckOptions {
   ExploreOptions explore;
   // Node budget for each solo-run termination check.
   std::uint64_t solo_node_bound = 100'000;
-  // Stop after this many violations (>=1; keeps reports readable).
+  // Stop after this many violations (keeps reports readable). Must be >= 1;
+  // both checkers return INVALID_ARGUMENT otherwise.
   int max_violations = 8;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -35,9 +36,13 @@ Status read_uint(const JsonValue& v, std::string_view key,
   return Status::ok();
 }
 
-Status read_int(const JsonValue& v, std::string_view key, int* out) {
-  if (!v.is_number() || !v.number_is_integer) {
-    return bad("\"" + std::string(key) + "\" must be an integer");
+Status read_int(const JsonValue& v, std::string_view key, int* out,
+                int min = std::numeric_limits<int>::min()) {
+  if (!v.is_number() || !v.number_is_integer || v.int_value < min ||
+      v.int_value > std::numeric_limits<int>::max()) {
+    return bad("\"" + std::string(key) + "\" must be an integer in [" +
+               std::to_string(min) + ", " +
+               std::to_string(std::numeric_limits<int>::max()) + "]");
   }
   *out = static_cast<int>(v.int_value);
   return Status::ok();
@@ -129,7 +134,8 @@ StatusOr<ServeRequest> parse_request(std::string_view line) {
       s = read_uint(value, key, &req.solo_node_bound);
     } else if (key == "max_violations" &&
                (req.op == "check" || req.op == "fuzz")) {
-      s = read_int(value, key, &req.max_violations);
+      // A report that is full before the first node would certify nothing.
+      s = read_int(value, key, &req.max_violations, /*min=*/1);
     } else {
       s = bad("unknown field \"" + key + "\" for op \"" + req.op + "\"");
     }

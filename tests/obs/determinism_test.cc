@@ -4,6 +4,7 @@
 // engines. PR 1 made the parallel explorer's *graph* bit-identical to the
 // serial one; this suite pins down that the instrumentation layered on top
 // in this PR preserves that guarantee.
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
+#include "modelcheck/task_check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -146,6 +148,57 @@ TEST(ObsDeterminism, BlindFuzzStableMetricsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(obs.phase_events, baseline.phase_events)
           << "one shrink-round span per ddmin round, same findings";
       EXPECT_EQ(obs.task_events, baseline.task_events);
+    }
+  }
+}
+
+// Events named `name`, in recording order.
+std::vector<TraceEvent> events_named(const std::string& name) {
+  std::vector<TraceEvent> out;
+  for (TraceEvent& event : Tracer::global().snapshot()) {
+    if (event.name == name) out.push_back(std::move(event));
+  }
+  return out;
+}
+
+TEST(ObsDeterminism, DacCheckEmitsOnePhaseSpanPerCheckStep) {
+  // A traced check attributes its time past explore.run: one property scan,
+  // one solo-termination pass per process (arg "pid"), and the
+  // configuration-class pass that only complete unreduced graphs need.
+  for (const modelcheck::Reduction reduction :
+       {modelcheck::Reduction::kNone, modelcheck::Reduction::kSymmetry}) {
+    SCOPED_TRACE(modelcheck::reduction_name(reduction));
+    auto task = modelcheck::make_named_task("dac3-sym");
+    ASSERT_TRUE(task.is_ok());
+    const modelcheck::NamedTask& t = task.value();
+    RunObservation baseline;
+    for (int threads : {1, 4}) {
+      const RunObservation obs = observe([&] {
+        modelcheck::TaskCheckOptions options;
+        options.explore.threads = threads;
+        options.explore.reduction = reduction;
+        auto report = modelcheck::check_dac_task(
+            t.protocol, t.distinguished_pid, t.inputs, options);
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+        EXPECT_TRUE(report.value().ok()) << report.value().to_string();
+      });
+      EXPECT_EQ(events_named("check.properties").size(), 1u);
+      EXPECT_EQ(events_named("check.classes").size(),
+                reduction == modelcheck::Reduction::kNone ? 1u : 0u);
+      const std::vector<TraceEvent> solo = events_named("check.solo");
+      ASSERT_EQ(solo.size(), t.inputs.size());
+      for (std::size_t pid = 0; pid < solo.size(); ++pid) {
+        EXPECT_EQ(solo[pid].cat, kCatPhase);
+        ASSERT_EQ(solo[pid].args.size(), 1u);
+        EXPECT_EQ(solo[pid].args[0].first, "pid");
+        EXPECT_EQ(solo[pid].args[0].second, static_cast<std::int64_t>(pid));
+      }
+      if (threads == 1) {
+        baseline = obs;
+      } else {
+        EXPECT_EQ(obs.stable_metrics, baseline.stable_metrics);
+        EXPECT_EQ(obs.phase_events, baseline.phase_events);
+      }
     }
   }
 }

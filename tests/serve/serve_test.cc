@@ -148,6 +148,30 @@ TEST(Protocol, RejectsMalformedAndMisdirectedRequests) {
   }
 }
 
+TEST(Protocol, RejectsMaxViolationsBelowOne) {
+  // A limit below 1 made the checker stop before its first node and answer
+  // "0 violations" for a broken task; for fuzz it tripped a CHECK.
+  for (const char* op : {"check", "fuzz"}) {
+    for (const char* limit : {"0", "-1", "4294967297"}) {
+      const std::string line = std::string(R"({"serve_version":1,"op":")") +
+                               op + R"(","id":"x","task":"strawdac3",)" +
+                               R"("max_violations":)" + limit + "}";
+      SCOPED_TRACE(line);
+      auto parsed = parse_request(line);
+      ASSERT_FALSE(parsed.is_ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find("max_violations"),
+                std::string::npos)
+          << parsed.status().message();
+    }
+    auto one = parse_request(std::string(R"({"serve_version":1,"op":")") +
+                             op + R"(","id":"x","task":"strawdac3",)" +
+                             R"("max_violations":1})");
+    ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+    EXPECT_EQ(one.value().max_violations, 1);
+  }
+}
+
 TEST(Protocol, ResponseBuildersRoundTripExactBytes) {
   // Payload bytes with JSON-hostile characters must survive the
   // escape/unescape round trip exactly — clients digest-compare them.

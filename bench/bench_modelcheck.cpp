@@ -35,9 +35,9 @@ std::vector<lbsa::Value> iota_inputs(int n) {
 
 // Exploration benchmarks take (n, threads). threads=1 runs the serial
 // reference engine (the baseline every speedup claim is against); threads>1
-// runs the parallel engine, whose canonical output is bit-identical, so the
-// rows measure the same work. The threads sweep at the headline size is the
-// speedup curve tracked across PRs (see tools/bench_modelcheck_json.sh).
+// runs the work-stealing engine, whose canonical output is bit-identical, so
+// the rows measure the same work. The threads sweep at the headline size is
+// the speedup curve tracked across PRs (see tools/bench_modelcheck_json.sh).
 void ModelCheck_ExploreDac(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));

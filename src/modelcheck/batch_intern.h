@@ -23,9 +23,10 @@
 //     its key from scratch storage into that arena. Losers touch no key
 //     memory at all. The arenas must outlive the table's last use.
 //   * Entries (key pointer/length, hash, payload) live in per-shard
-//     segmented logs indexed by local id — segments are fixed-size and
-//     never move, so payload()/key() are simple loads once an id is
-//     published.
+//     segmented logs indexed by local id — segments grow geometrically
+//     (64, 128, 256, ... entries) and never move, so payload()/key() are
+//     simple loads once an id is published, and a shard that only ever
+//     sees a handful of keys allocates a handful of entries.
 //   * Growth: callers probe in *batches* (intern_batch), holding the
 //     shard's grow-lock in shared mode for the whole batch — one lock
 //     acquisition per shard-batch, not per key. When the batch would push
@@ -47,6 +48,7 @@
 #define LBSA_MODELCHECK_BATCH_INTERN_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -116,10 +118,6 @@ class BatchInternTable {
     for (Shard& shard : shards_) {
       shard.slots = std::make_unique<Slot[]>(initial_slots_per_shard);
       shard.slot_count = initial_slots_per_shard;
-      // Heap-allocated: keeps the Shard (and any BatchInternTable local)
-      // small enough for the stack regardless of kMaxSegments.
-      shard.segments =
-          std::make_unique<std::atomic<Entry*>[]>(kMaxSegments);
     }
   }
   BatchInternTable(const BatchInternTable&) = delete;
@@ -224,17 +222,31 @@ class BatchInternTable {
   }
 
  private:
-  // Entry-log segmentation: segments are fixed at 4096 entries and never
-  // move; the directory is pre-sized for the full local id space, so
-  // directory slots are plain atomics published with CAS. 22 local bits x
-  // 64 shards = 268M nodes, past the roadmap's 10^7-10^8 target, while the
-  // table's fixed footprint (64 directories of 1024 pointers) stays small
-  // enough that constructing a table for a tiny task costs microseconds,
-  // not a multi-megabyte zeroing.
-  static constexpr std::uint32_t kSegBits = 12;
-  static constexpr std::uint32_t kSegSize = 1u << kSegBits;
+  // Entry-log segmentation: segment k holds kFirstSegSize << k entries,
+  // starting at local id kFirstSegSize * (2^k - 1), and never moves; the
+  // directory is pre-sized for the full local id space, so directory slots
+  // are plain atomics published with CAS. 22 local bits x 64 shards = 268M
+  // nodes, past the roadmap's 10^7-10^8 target, in a directory of 17
+  // pointers per shard. Doubling keeps the zero-filled entry memory within
+  // 2x of the entries actually used, so a tiny task touches kilobytes, not
+  // a 64 x 4096-entry wall.
+  static constexpr std::uint32_t kFirstSegBits = 6;
+  static constexpr std::uint32_t kFirstSegSize = 1u << kFirstSegBits;
   static constexpr std::uint32_t kMaxLocals = 1u << 22;
-  static constexpr std::uint32_t kMaxSegments = kMaxLocals >> kSegBits;
+  static constexpr std::uint32_t kMaxSegments =
+      static_cast<std::uint32_t>(
+          std::bit_width(kMaxLocals + kFirstSegSize - 1)) -
+      kFirstSegBits;
+
+  // (segment, offset) of a local id.
+  static std::uint32_t segment_of(std::uint32_t local) {
+    return static_cast<std::uint32_t>(std::bit_width(local + kFirstSegSize)) -
+           (kFirstSegBits + 1);
+  }
+  static std::uint32_t offset_in_segment(std::uint32_t local,
+                                         std::uint32_t seg_idx) {
+    return local + kFirstSegSize - (kFirstSegSize << seg_idx);
+  }
 
   struct Entry {
     const std::int64_t* key = nullptr;
@@ -255,9 +267,11 @@ class BatchInternTable {
     std::unique_ptr<Slot[]> slots;
     std::size_t slot_count = 0;
     std::atomic<std::uint32_t> count{0};  // published+reserved entries
-    std::vector<std::unique_ptr<Entry[]>> segment_storage;  // under grow_mu
-    std::unique_ptr<std::atomic<Entry*>[]> segments;  // [kMaxSegments]
-    std::mutex segment_mu;  // serializes rare segment allocation
+    // Segment allocation is rare and serialized by segment_mu; readers go
+    // through the lock-free `segments` directory.
+    std::mutex segment_mu;
+    std::unique_ptr<Entry[]> segment_storage[kMaxSegments];
+    std::atomic<Entry*> segments[kMaxSegments] = {};
     std::uint64_t growths = 0;  // under exclusive grow_mu
     // Worst-case inserts of every batch currently holding the shared lock;
     // see the capacity gate in intern_batch().
@@ -266,30 +280,38 @@ class BatchInternTable {
 
   static std::uint64_t nonzero_fp(Hash128 h) { return h.hi == 0 ? 1 : h.hi; }
 
+  static Entry& entry_at(const Shard& shard, std::uint32_t local,
+                         std::memory_order order) {
+    const std::uint32_t seg_idx = segment_of(local);
+    return shard.segments[seg_idx].load(order)[offset_in_segment(local,
+                                                                 seg_idx)];
+  }
+
   const Entry& entry_of(std::uint32_t id) const {
-    const Shard& shard = shards_[id & (kShardCount - 1)];
-    const std::uint32_t local = id >> kShardBits;
-    Entry* seg = shard.segments[local >> kSegBits].load(
-        std::memory_order_acquire);
-    return seg[local & (kSegSize - 1)];
+    return entry_at(shards_[id & (kShardCount - 1)], id >> kShardBits,
+                    std::memory_order_acquire);
   }
   Entry& entry_of(std::uint32_t id) {
     return const_cast<Entry&>(
         static_cast<const BatchInternTable*>(this)->entry_of(id));
   }
 
-  Entry* ensure_segment(Shard& shard, std::uint32_t local) {
-    const std::uint32_t seg_idx = local >> kSegBits;
-    LBSA_CHECK_MSG(seg_idx < kMaxSegments,
-                   "intern table shard id space exhausted");
+  // The entry slot of `local`, allocating its segment on first touch.
+  Entry& ensure_entry(Shard& shard, std::uint32_t local) {
+    const std::uint32_t seg_idx = segment_of(local);
+    Entry* seg = ensure_segment(shard, seg_idx);
+    return seg[offset_in_segment(local, seg_idx)];
+  }
+
+  Entry* ensure_segment(Shard& shard, std::uint32_t seg_idx) {
     Entry* seg = shard.segments[seg_idx].load(std::memory_order_acquire);
     if (seg != nullptr) return seg;
     std::lock_guard<std::mutex> lock(shard.segment_mu);
     seg = shard.segments[seg_idx].load(std::memory_order_acquire);
     if (seg != nullptr) return seg;
-    auto storage = std::make_unique<Entry[]>(kSegSize);
-    seg = storage.get();
-    shard.segment_storage.push_back(std::move(storage));
+    shard.segment_storage[seg_idx] =
+        std::make_unique<Entry[]>(kFirstSegSize << seg_idx);
+    seg = shard.segment_storage[seg_idx].get();
     shard.segments[seg_idx].store(seg, std::memory_order_release);
     return seg;
   }
@@ -317,9 +339,7 @@ class BatchInternTable {
       const std::uint32_t entries =
           shard.count.load(std::memory_order_relaxed);
       for (std::uint32_t local = 0; local < entries; ++local) {
-        Entry* seg =
-            shard.segments[local >> kSegBits].load(std::memory_order_relaxed);
-        const Entry& e = seg[local & (kSegSize - 1)];
+        const Entry& e = entry_at(shard, local, std::memory_order_relaxed);
         std::size_t idx = (e.hash.lo >> kShardBits) & mask;
         while (new_slots[idx].fp.load(std::memory_order_relaxed) != 0) {
           idx = (idx + 1) & mask;
@@ -358,8 +378,7 @@ class BatchInternTable {
               shard.count.fetch_add(1, std::memory_order_acq_rel);
           LBSA_CHECK_MSG(local < kMaxLocals,
                          "intern table shard id space exhausted");
-          Entry* seg = ensure_segment(shard, local);
-          Entry& entry = seg[local & (kSegSize - 1)];
+          Entry& entry = ensure_entry(shard, local);
           std::int64_t* stored = key_arena->alloc(c.key.size());
           std::copy(c.key.begin(), c.key.end(), stored);
           entry.key = stored;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <barrier>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -32,7 +31,9 @@ struct KeyHash {
 int resolve_threads(const ExploreOptions& options) {
   if (options.threads > 0) return options.threads;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  if (hw == 0) return 1;
+  return static_cast<int>(
+      std::min<unsigned>(hw, static_cast<unsigned>(kMaxExploreThreads)));
 }
 
 // Partial-order reduction's ample-set selector: the smallest enabled
@@ -121,10 +122,10 @@ struct LiveProgress {
   }
 };
 
-// Frontier items claimed per grab/steal in the parallel engines. Sized so
-// a chunk's successors (a handful per item) form per-shard intern batches
-// big enough to amortize the shared-lock round per shard across several
-// keys. Doubles as the mid-level lifecycle polling cadence in all three
+// Frontier items claimed per grab/steal in the work-stealing engine. Sized
+// so a chunk's successors (a handful per item) form per-shard intern
+// batches big enough to amortize the shared-lock round per shard across
+// several keys. Doubles as the mid-level lifecycle polling cadence in both
 // engines: every kChunk expansions each engine re-checks cancel/deadline,
 // so one huge level (the dac5/dac6 tails) cannot blow past a request
 // deadline by more than a bounded amount of work.
@@ -160,15 +161,19 @@ StatusOr<std::vector<sim::Config>> decode_checkpoint_configs(
   return configs;
 }
 
-// Snapshot of a paused exploration (graph at a level boundary + the pending
-// frontier), ready for write_explore_checkpoint().
-ExploreCheckpoint checkpoint_from_graph(const ConfigGraph& graph,
-                                        std::span<const std::uint32_t> frontier,
-                                        std::uint32_t levels_completed,
-                                        std::uint64_t fingerprint,
-                                        const ExploreOptions& options,
-                                        bool has_flag_fn,
-                                        std::int64_t initial_flag) {
+// Writes a paused exploration (graph at a level boundary + the pending
+// frontier) to options.checkpoint_path.
+Status write_checkpoint(const ConfigGraph& graph,
+                        std::span<const std::uint32_t> frontier,
+                        std::uint32_t levels_completed,
+                        std::uint64_t fingerprint,
+                        const ExploreOptions& options, bool has_flag_fn,
+                        std::int64_t initial_flag) {
+  LBSA_OBS_COUNTER_ADD_V("explore.checkpoint.writes", 1);
+  if (obs::heartbeat_enabled()) {
+    obs::Progress::global().checkpoint_writes.fetch_add(
+        1, std::memory_order_relaxed);
+  }
   ExploreCheckpoint cp;
   cp.fingerprint = fingerprint;
   cp.task_label = options.checkpoint_label;
@@ -197,24 +202,7 @@ ExploreCheckpoint checkpoint_from_graph(const ConfigGraph& graph,
   cp.discovery_perms = graph.discovery_perms();
   cp.edges = graph.edges();
   cp.frontier.assign(frontier.begin(), frontier.end());
-  return cp;
-}
-
-Status write_checkpoint(const ConfigGraph& graph,
-                        std::span<const std::uint32_t> frontier,
-                        std::uint32_t levels_completed,
-                        std::uint64_t fingerprint,
-                        const ExploreOptions& options, bool has_flag_fn,
-                        std::int64_t initial_flag) {
-  LBSA_OBS_COUNTER_ADD_V("explore.checkpoint.writes", 1);
-  if (obs::heartbeat_enabled()) {
-    obs::Progress::global().checkpoint_writes.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  return write_explore_checkpoint(
-      checkpoint_from_graph(graph, frontier, levels_completed, fingerprint,
-                            options, has_flag_fn, initial_flag),
-      options.checkpoint_path);
+  return write_explore_checkpoint(cp, options.checkpoint_path);
 }
 
 // Attaches the run's per-worker orbit cache (if any) to `scratch`. The pool
@@ -252,16 +240,15 @@ void add_canon_metrics(const sim::CanonScratch& s, CanonSeen* seen) {
 // Serial reference engine. This is the semantic definition of the canonical
 // graph: node ids in BFS discovery order (frontier in id order; within a
 // node, pids ascending, then outcome order), parents_ from the discovering
-// edge, depths from level-synchronous discovery. The parallel engines below
-// must reproduce its output bit for bit on complete explorations.
+// edge, depths from BFS discovery. The work-stealing engine
+// below must reproduce its output bit for bit on complete explorations.
 // ---------------------------------------------------------------------------
 }  // namespace
 
 StatusOr<ConfigGraph> Explorer::explore_serial(
     const ExploreOptions& options, const FlagFn& flag_fn,
     std::int64_t initial_flag, const sim::Canonicalizer* sym, bool por,
-    std::uint64_t fingerprint, std::uint64_t switch_after_nodes,
-    bool* switched) const {
+    std::uint64_t fingerprint) const {
   const sim::Protocol& protocol = *protocol_;
   ConfigGraph graph;
   std::unordered_map<std::vector<std::int64_t>, std::uint32_t, KeyHash> index;
@@ -344,7 +331,7 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
 
   // One "explore.level" phase event per BFS level. The frontier is a FIFO,
   // so popped depths are non-decreasing and a depth change marks a level
-  // boundary — matching the parallel engine's one-span-per-level exactly.
+  // boundary.
   bool level_open = false;
   std::uint64_t level_start_us = 0;
   std::uint32_t span_depth = 0;
@@ -427,17 +414,6 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
         }
         break;
       }
-      if (switch_after_nodes > 0 &&
-          graph.nodes_.size() >= switch_after_nodes) {
-        // kAuto handoff: return the canonical prefix exactly as an
-        // interruption would, but leave checkpoint writing and graph-metric
-        // recording to the engine that finishes the run.
-        *switched = true;
-        graph.interrupted_ = true;
-        graph.levels_completed_ = depth;
-        graph.pending_frontier_.assign(frontier.begin(), frontier.end());
-        break;
-      }
       if (!options.checkpoint_path.empty() &&
           options.checkpoint_every_levels > 0 && session_levels > 0 &&
           session_levels % options.checkpoint_every_levels == 0) {
@@ -456,15 +432,16 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     // Mid-level cadence so heartbeats move inside long levels; every 512
     // pops keeps the relaxed-load guard the only cost when unobserved and
     // bounds the publication lag behind actual interning to well under the
-    // parallel engines' per-worker chunk cadence times their pool width.
+    // work-stealing engine's per-worker chunk cadence times its pool width.
     if (live.on && (pops & 0x1FFu) == 0) {
       live.publish(graph.nodes_.size() - prefix_nodes,
                    graph.transition_count_ - prefix_transitions, span_depth,
                    frontier.size());
     }
-    // Mid-level lifecycle poll, every kChunk pops (matching the parallel
-    // engines' work-chunk cadence). max_levels stays level-granular; only
-    // cancel/deadline — the request-lifecycle knobs — trip mid-level.
+    // Mid-level lifecycle poll, every kChunk pops (matching the
+    // work-stealing engine's work-chunk cadence). max_levels stays
+    // level-granular; only cancel/deadline — the request-lifecycle knobs —
+    // trip mid-level.
     if (lifecycle_armed && (pops & (kChunk - 1)) == 0 &&
         ((options.cancel != nullptr && options.cancel->cancelled()) ||
          deadline_passed(options.deadline))) {
@@ -544,12 +521,12 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
   if (sym != nullptr) add_canon_metrics(canon_scratch, &canon_seen);
   LBSA_CHECK(graph.nodes_.size() == graph.edges_.size() &&
              graph.nodes_.size() == graph.parents_.size());
-  if (switched == nullptr || !*switched) record_graph_metrics(graph);
+  record_graph_metrics(graph);
   return graph;
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engines: shared expansion + canonical renumbering machinery.
+// Work-stealing engine: expansion + canonical renumbering machinery.
 //
 // Determinism recipe (complete graphs are bit-identical to explore_serial):
 //   1. Each frontier node is expanded by exactly one worker, which emits its
@@ -560,13 +537,15 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
 //      over the provisional graph: walking nodes in canonical id order and
 //      each edge list in order, first-touch assigns canonical ids — which
 //      reproduces the serial discovery order, parents and all.
-//   3. The level-synchronous engine additionally barriers between levels, so
-//      stored depths are exact BFS distances and interruption lands on a
-//      level boundary for free. The work-stealing engine has no barriers;
-//      its walk derives depths from the canonical parents, and interruption
-//      is handled by trimming the walked graph back to the deepest fully
-//      expanded level (the ids the walk assigns are depth-monotone, so the
-//      serial-identical prefix is literally an array prefix).
+//   3. There are no level barriers: a stored depth is the length of the
+//      path a node was first discovered along, an upper bound on its BFS
+//      depth. The walk derives exact depths from the canonical parents.
+//      Level boundaries that must be exact (max_levels, periodic
+//      checkpoints) are reached by pausing: see explore_work_stealing.
+//      Cancellation is handled by trimming the walked graph back to the
+//      deepest fully expanded level (the ids the walk assigns are
+//      depth-monotone, so the serial-identical prefix is literally an array
+//      prefix).
 //
 // The hot path is allocation-free after warm-up: successor keys are encoded
 // straight into a per-worker bump arena (Config::encode_to), interned in
@@ -582,7 +561,6 @@ namespace {
 // Payload stored per interned (config, flag) node.
 struct NodeMeta {
   std::int64_t flag = 0;
-  std::uint32_t depth = 0;
   // Expansion eligibility, read back by the work-stealing trim pass.
   enum State : std::uint8_t {
     kFresh = 0,     // discovered within budget; expandable
@@ -594,24 +572,18 @@ struct NodeMeta {
   std::uint8_t state = kFresh;
   // The node's (representative) configuration, moved in by the winning
   // inserter before the id is published. Expanding workers read it through
-  // a WorkItem they received over a queue or barrier, so the insertion
-  // happens-before every read despite the table not yet being quiescent.
+  // a WorkItem they received over a queue, so the insertion happens-before
+  // every read despite the table not yet being quiescent.
   sim::Config config;
 };
 
 using BatchTable = BatchInternTable<NodeMeta>;
 
 // An emitted transition, pre-renumbering: target is a provisional id and the
-// full Step is kept so the renumbering pass can rebuild parents_. Under
-// symmetry reduction, perm records the canonicalizing permutation of this
-// edge's successor (empty = identity); the renumbering pass installs the
-// first-touch edge's perm as the node's discovery perm, which keeps
-// discovery_perms_ aligned with the canonical parents_ no matter which
-// worker interned the node first.
+// full Step is kept so the renumbering pass can rebuild parents_.
 struct RawEdge {
   std::uint32_t to = 0;
   sim::Step step;
-  std::vector<std::uint8_t> perm;
 };
 
 // One expanded node's slice [begin, end) of the owning worker's RawEdge
@@ -629,6 +601,12 @@ struct EdgeRange {
 // Per-worker edge storage: a flat pool plus one range per expanded node.
 struct EdgeSink {
   std::vector<RawEdge> pool;
+  // Under symmetry reduction only, parallel to `pool`: the canonicalizing
+  // permutation of each edge's successor (empty = identity). The
+  // renumbering pass installs the first-touch edge's perm as the node's
+  // discovery perm, which keeps discovery_perms_ aligned with the canonical
+  // parents_ no matter which worker interned the node first.
+  std::vector<std::vector<std::uint8_t>> perms;
   std::vector<EdgeRange> ranges;
 };
 
@@ -642,14 +620,8 @@ struct WorkItem {
 };
 
 constexpr std::uint32_t kUnassigned = 0xffffffffu;
-// kAuto: hand off to a parallel engine once the serial probe holds this many
-// nodes (below it, parallel setup + renumbering overhead beats the win)...
-constexpr std::uint64_t kAutoSwitchNodes = 32768;
-// ...choosing level-synchronous when the handoff frontier is at least this
-// wide per worker (barriers amortize), work-stealing otherwise.
-constexpr std::size_t kAutoWideFrontier = 64;
 
-// Per-worker expansion machinery shared by both parallel engines: expands
+// Per-worker expansion machinery of the work-stealing engine: expands
 // frontier items in chunks, encodes successor keys straight into a scratch
 // arena, batch-interns them shard by shard, and appends raw edges to the
 // worker's EdgeSink. Single-threaded; one instance per worker.
@@ -679,9 +651,9 @@ class Expander {
     pending_.clear();
     items_.clear();
     for (const WorkItem& item : chunk) {
-      // The item arrived over a queue or barrier after its inserter
-      // published the node, so this pre-quiescence payload read is ordered
-      // after the config move-in (and entries never relocate).
+      // The item arrived over a queue after its inserter published the
+      // node, so this pre-quiescence payload read is ordered after the
+      // config move-in (and entries never relocate).
       const sim::Config& config = table_->payload(item.id).config;
       ItemRec rec;
       rec.id = item.id;
@@ -731,8 +703,8 @@ class Expander {
           // The config rides in the candidate payload: if this candidate
           // wins the insertion race it is moved into the entry, otherwise
           // it is dropped with the candidate.
-          p.cand.payload = NodeMeta{next_flag, item.depth + 1,
-                                    NodeMeta::kFresh, std::move(succ.config)};
+          p.cand.payload =
+              NodeMeta{next_flag, NodeMeta::kFresh, std::move(succ.config)};
           p.flag = next_flag;
           p.depth = item.depth + 1;
           p.step = succ.step;
@@ -767,7 +739,8 @@ class Expander {
       range.begin = static_cast<std::uint32_t>(sink->pool.size());
       for (std::uint32_t i = rec.begin; i < rec.end; ++i) {
         Pending& p = pending_[i];
-        sink->pool.push_back(RawEdge{p.cand.id, p.step, std::move(p.perm)});
+        sink->pool.push_back(RawEdge{p.cand.id, p.step});
+        if (sym_ != nullptr) sink->perms.push_back(std::move(p.perm));
         if (!p.cand.inserted) continue;
         // seq reproduces the serial budget cut: the first max_nodes
         // insertions (in global insertion order) are expandable.
@@ -838,15 +811,21 @@ class Expander {
       buckets_;
 };
 
-// One worker's whole state, for both engines.
+// One worker's whole state. It outlives the worker's threads: a run with
+// level pauses starts one thread per worker per round.
 struct ParallelWorker {
   explicit ParallelWorker(Expander expander) : ex(std::move(expander)) {}
   Expander ex;
   EdgeSink sink;
-  std::vector<WorkItem> next;  // level-sync: next-level discoveries
+  // Discoveries at or past the pause level, held back until the pause.
+  std::vector<WorkItem> parked;
   std::uint64_t expanded = 0;
-  std::uint64_t steals = 0;        // work-stealing only
+  std::uint64_t steals = 0;
   std::uint64_t steal_misses = 0;  // full sweeps that found nothing
+  // What this worker already published (heartbeat slot, canon counters).
+  std::uint64_t seen_cas_retries = 0;
+  std::uint64_t seen_edges = 0;
+  CanonSeen canon_seen;
 };
 
 // The table contents after seeding (root or checkpoint prefix), before any
@@ -884,7 +863,6 @@ StatusOr<SeedState> seed_table(const sim::Protocol& protocol,
       key.push_back(resume->node_flags[i]);
       NodeMeta meta;
       meta.flag = resume->node_flags[i];
-      meta.depth = resume->node_depths[i];
       meta.state = in_frontier[i] ? NodeMeta::kFresh : NodeMeta::kSeedDone;
       meta.config = std::move(configs[i]);  // after the encode above
       const auto res = table->intern(key, std::move(meta), seed_arena, tally);
@@ -908,7 +886,7 @@ StatusOr<SeedState> seed_table(const sim::Protocol& protocol,
     init.encode_into(&key);
     key.push_back(initial_flag);
     const auto res = table->intern(
-        key, NodeMeta{initial_flag, 0, NodeMeta::kFresh, std::move(init)},
+        key, NodeMeta{initial_flag, NodeMeta::kFresh, std::move(init)},
         seed_arena, tally);
     seed.root_id = res.id;
     seed.frontier.push_back(WorkItem{res.id, 0, initial_flag});
@@ -916,16 +894,12 @@ StatusOr<SeedState> seed_table(const sim::Protocol& protocol,
   return seed;
 }
 
-// The canonical graph plus canonical-indexed side data the engines need
-// afterwards (trim pass, stable-counter flush). Valid only at quiescence.
+// The canonical graph plus the id maps the engine needs afterwards (trim
+// pass, stable-counter flush). Valid only at quiescence.
 struct CanonicalBuild {
   ConfigGraph graph;
   std::vector<std::uint32_t> canon;  // provisional -> canonical id
-  std::vector<std::uint8_t> state;   // NodeMeta::State per canonical id
-  std::vector<std::uint8_t> expanded;  // expanded THIS session
-  std::vector<std::uint32_t> renamed;  // per-expansion session tallies...
-  std::vector<std::uint32_t> skips;
-  std::vector<std::uint8_t> had_ample;
+  std::vector<std::uint32_t> order;  // canonical -> provisional id
 };
 
 }  // namespace
@@ -933,34 +907,68 @@ struct CanonicalBuild {
 namespace internal {
 
 struct GraphBuilder {
+  // This session's expansions, indexed by provisional id (null range = not
+  // expanded this session).
+  struct RawRef {
+    const EdgeSink* sink = nullptr;
+    const EdgeRange* range = nullptr;
+  };
+  static std::vector<RawRef> index_expansions(
+      const BatchTable& table, const std::vector<ParallelWorker>& workers) {
+    std::vector<RawRef> raw(table.id_bound());
+    for (const ParallelWorker& w : workers) {
+      for (const EdgeRange& r : w.sink.ranges) raw[r.id] = RawRef{&w.sink, &r};
+    }
+    return raw;
+  }
+
+  // The BFS depth of every interned node, by provisional id: the walk
+  // build() does, without materializing a graph. Runnable whenever workers
+  // are quiescent.
+  static std::vector<std::uint32_t> canonical_depths(
+      const BatchTable& table, const std::vector<ParallelWorker>& workers,
+      const SeedState& seed, const ExploreCheckpoint* resume) {
+    const std::vector<RawRef> raw = index_expansions(table, workers);
+    std::vector<std::uint32_t> depth(table.id_bound(), kUnassigned);
+    std::vector<std::uint32_t> order;  // BFS queue (provisional ids)
+    order.reserve(static_cast<std::size_t>(table.size()));
+    if (resume != nullptr) {
+      for (std::size_t i = 0; i < seed.prefix_prov.size(); ++i) {
+        depth[seed.prefix_prov[i]] = resume->node_depths[i];
+        order.push_back(seed.prefix_prov[i]);
+      }
+    } else {
+      depth[seed.root_id] = 0;
+      order.push_back(seed.root_id);
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const RawRef ref = raw[order[i]];
+      if (ref.range == nullptr) continue;
+      for (std::uint32_t e = ref.range->begin; e < ref.range->end; ++e) {
+        const std::uint32_t to = ref.sink->pool[e].to;
+        if (depth[to] != kUnassigned) continue;
+        depth[to] = depth[order[i]] + 1;
+        order.push_back(to);
+      }
+    }
+    return depth;
+  }
+
   // Canonical renumbering walk, runnable whenever workers are quiescent.
   // Configurations come straight from the node payloads: moved out when
   // take_configs is set (final builds — the table is dead afterwards),
   // copied when not (mid-run checkpoint snapshots, whose payloads workers
-  // will still expand from).
-  // trust_depths: the level-synchronous engine's stored depths are exact
-  // BFS distances and are checked against the canonical parent; the
-  // work-stealing engine's stored depths are only upper bounds (a steal can
-  // discover a node along a non-shortest path first), so its walk derives
-  // depths from the canonical parents instead.
+  // will still expand from). Stored depths are only upper bounds (a steal
+  // can discover a node along a non-shortest path first), so the walk
+  // derives depths from the canonical parents.
   static CanonicalBuild build(BatchTable& table,
                               const std::vector<ParallelWorker>& workers,
                               const SeedState& seed,
                               const ExploreCheckpoint* resume, bool sym_active,
-                              bool trust_depths, bool truncated_flag,
-                              bool take_configs) {
-    struct RawRef {
-      const EdgeSink* sink = nullptr;
-      const EdgeRange* range = nullptr;
-    };
-    std::vector<RawRef> raw(table.id_bound());
-    std::uint64_t session_edges = 0;
-    for (const ParallelWorker& w : workers) {
-      for (const EdgeRange& r : w.sink.ranges) {
-        raw[r.id] = RawRef{&w.sink, &r};
-        session_edges += r.end - r.begin;
-      }
-    }
+                              bool truncated_flag, bool take_configs) {
+    const std::vector<RawRef> raw = index_expansions(table, workers);
+    std::uint64_t session_edges = 0;  // every pooled edge is in a range
+    for (const ParallelWorker& w : workers) session_edges += w.sink.pool.size();
 
     CanonicalBuild out;
     ConfigGraph& graph = out.graph;
@@ -971,7 +979,7 @@ struct GraphBuilder {
     graph.edges_.reserve(total);
     graph.parents_.reserve(total);
     out.canon.assign(table.id_bound(), kUnassigned);
-    std::vector<std::uint32_t> order;  // canonical BFS queue (provisional)
+    std::vector<std::uint32_t>& order = out.order;  // canonical BFS queue
     order.reserve(total);
 
     auto node_config = [&](std::uint32_t prov) -> sim::Config {
@@ -1013,27 +1021,20 @@ struct GraphBuilder {
       const std::uint32_t cu = static_cast<std::uint32_t>(i);
       const RawRef ref = raw[u];
       if (ref.range == nullptr) continue;  // not expanded (this session)
+      graph.edges_[cu].reserve(ref.range->end - ref.range->begin);
       for (std::uint32_t e = ref.range->begin; e < ref.range->end; ++e) {
         const RawEdge& edge = ref.sink->pool[e];
         if (out.canon[edge.to] == kUnassigned) {
           out.canon[edge.to] = static_cast<std::uint32_t>(graph.nodes_.size());
-          const NodeMeta& meta = table.payload(edge.to);
-          std::uint32_t d;
-          if (trust_depths) {
-            // Level-synchronous discovery makes stored depths exact; the
-            // canonical parent is one level up by construction.
-            d = meta.depth;
-            LBSA_CHECK(d == graph.nodes_[cu].depth + 1);
-          } else {
-            d = graph.nodes_[cu].depth + 1;
-          }
-          graph.nodes_.push_back(Node{node_config(edge.to), meta.flag, d});
+          graph.nodes_.push_back(Node{node_config(edge.to),
+                                      table.payload(edge.to).flag,
+                                      graph.nodes_[cu].depth + 1});
           graph.edges_.emplace_back();
           graph.parents_.emplace_back(cu, edge.step);
           // The canonical discovery perm is the first-touch edge's perm
           // (the racing worker's perm may belong to a different parent
           // edge).
-          if (sym_active) graph.discovery_perms_.push_back(edge.perm);
+          if (sym_active) graph.discovery_perms_.push_back(ref.sink->perms[e]);
           order.push_back(edge.to);
         }
         graph.edges_[cu].push_back(
@@ -1045,24 +1046,6 @@ struct GraphBuilder {
     LBSA_CHECK(graph.nodes_.size() == total);
     LBSA_CHECK(graph.nodes_.size() == graph.edges_.size() &&
                graph.nodes_.size() == graph.parents_.size());
-
-    out.state.assign(total, NodeMeta::kFresh);
-    out.expanded.assign(total, 0);
-    out.renamed.assign(total, 0);
-    out.skips.assign(total, 0);
-    out.had_ample.assign(total, 0);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      out.state[i] = table.payload(order[i]).state;
-    }
-    for (const ParallelWorker& w : workers) {
-      for (const EdgeRange& r : w.sink.ranges) {
-        const std::uint32_t c = out.canon[r.id];
-        out.expanded[c] = 1;
-        out.renamed[c] = r.renamed;
-        out.skips[c] = r.por_skips;
-        out.had_ample[c] = r.had_ample;
-      }
-    }
     return out;
   }
 
@@ -1073,12 +1056,20 @@ struct GraphBuilder {
   // engine). Returns false (untouched) when the graph is complete. Walk
   // depths are non-decreasing in canonical id order (FIFO walk), so the
   // prefix is literally an array prefix.
-  static bool trim_to_complete_prefix(CanonicalBuild* b,
-                                      bool prefix_truncated) {
+  static bool trim_to_complete_prefix(
+      CanonicalBuild* b, const BatchTable& table,
+      const std::vector<ParallelWorker>& workers, bool prefix_truncated) {
     ConfigGraph& graph = b->graph;
+    std::vector<std::uint8_t> expanded(graph.nodes_.size(), 0);
+    for (const ParallelWorker& w : workers) {
+      for (const EdgeRange& r : w.sink.ranges) expanded[b->canon[r.id]] = 1;
+    }
+    auto state = [&](std::size_t i) {
+      return table.payload(b->order[i]).state;
+    };
     std::uint32_t level = std::numeric_limits<std::uint32_t>::max();
     for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
-      if (b->state[i] == NodeMeta::kFresh && !b->expanded[i]) {
+      if (state(i) == NodeMeta::kFresh && !expanded[i]) {
         level = std::min(level, graph.nodes_[i].depth);
       }
     }
@@ -1105,9 +1096,8 @@ struct GraphBuilder {
       // above) are discarded and they return to the pending frontier.
       if (graph.nodes_[i].depth == level) graph.edges_[i].clear();
       transitions += graph.edges_[i].size();
-      if (b->state[i] == NodeMeta::kBeyondBudget) kept_beyond = true;
-      if (graph.nodes_[i].depth == level &&
-          b->state[i] == NodeMeta::kFresh) {
+      if (state(i) == NodeMeta::kBeyondBudget) kept_beyond = true;
+      if (graph.nodes_[i].depth == level && state(i) == NodeMeta::kFresh) {
         graph.pending_frontier_.push_back(static_cast<std::uint32_t>(i));
       }
     }
@@ -1130,9 +1120,10 @@ namespace {
 // level_limit bounds which nodes' per-expansion tallies count: UINT32_MAX
 // for complete / level-boundary graphs, the trimmed level for a trimmed
 // work-stealing graph (whose deeper expansions were discarded).
-void add_stable_counters(const CanonicalBuild& b, const ConfigGraph& graph,
-                         const SeedState& seed, bool fresh_run,
-                         std::uint32_t level_limit) {
+void add_stable_counters(const std::vector<std::uint32_t>& canon,
+                         const std::vector<ParallelWorker>& workers,
+                         const ConfigGraph& graph, const SeedState& seed,
+                         bool fresh_run, std::uint32_t level_limit) {
   const std::uint64_t prefix = seed.prefix_prov.size();
   const std::uint64_t new_nodes = graph.nodes().size() - prefix;
   if (new_nodes > 0) LBSA_OBS_COUNTER_ADD("explore.nodes", new_nodes);
@@ -1146,11 +1137,19 @@ void add_stable_counters(const CanonicalBuild& b, const ConfigGraph& graph,
   std::uint64_t renamed = fresh_run && !seed.root_perm.empty() ? 1 : 0;
   std::uint64_t skips = 0;
   bool any_ample = false;
-  for (std::size_t i = 0; i < graph.nodes().size(); ++i) {
-    if (graph.nodes()[i].depth >= level_limit) continue;
-    renamed += b.renamed[i];
-    skips += b.skips[i];
-    any_ample = any_ample || b.had_ample[i] != 0;
+  for (const ParallelWorker& w : workers) {
+    for (const EdgeRange& r : w.sink.ranges) {
+      if (level_limit != std::numeric_limits<std::uint32_t>::max()) {
+        const std::uint32_t c = canon[r.id];
+        if (c >= graph.nodes().size() ||
+            graph.nodes()[c].depth >= level_limit) {
+          continue;
+        }
+      }
+      renamed += r.renamed;
+      skips += r.por_skips;
+      any_ample = any_ample || r.had_ample != 0;
+    }
   }
   if (renamed > 0) LBSA_OBS_COUNTER_ADD("explore.sym.renamed", renamed);
   if (any_ample) LBSA_OBS_COUNTER_ADD("explore.por.skips", skips);
@@ -1201,246 +1200,19 @@ void name_trace_lanes(int threads) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Level-synchronous parallel engine.
-// ---------------------------------------------------------------------------
-
-StatusOr<ConfigGraph> Explorer::explore_parallel(
-    const ExploreOptions& options, int threads, const FlagFn& flag_fn,
-    std::int64_t initial_flag, const sim::Canonicalizer* sym, bool por,
-    std::uint64_t fingerprint) const {
-  const sim::Protocol& protocol = *protocol_;
-  BatchTable table;
-  std::atomic<bool> exhausted{false};  // budget hit, truncation not allowed
-  std::atomic<bool> truncated{false};
-
-  WordArena seed_arena;
-  BatchTable::Tally seed_tally;
-  auto seed_or = seed_table(protocol, &table, &seed_arena, &seed_tally,
-                            options.resume, sym, initial_flag);
-  if (!seed_or.is_ok()) return seed_or.status();
-  SeedState seed = std::move(seed_or).value();
-  truncated.store(seed.truncated, std::memory_order_relaxed);
-  std::vector<WorkItem> frontier = std::move(seed.frontier);
-
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(threads);
-  const std::uint64_t prefix_nodes = seed.prefix_prov.size();
-
-  name_trace_lanes(threads);
-
-  std::vector<ParallelWorker> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back(Expander(&protocol, &table, &flag_fn, sym, por,
-                                  options.max_nodes, options.allow_truncation,
-                                  &truncated));
-    attach_canon_cache(options, sym, static_cast<std::size_t>(t),
-                       workers.back().ex.canon_scratch());
-  }
-
-  std::atomic<std::size_t> cursor{0};
-  std::uint32_t depth = seed.start_depth;  // level currently expanding
-  std::atomic<bool> done{false};
-  // Mid-level lifecycle stop: workers poll cancel/deadline at every chunk
-  // claim (the coordinator only looks at level boundaries) and raise this
-  // flag, so one huge level cannot blow past a request deadline. The
-  // partially expanded level is discarded by the trim pass below — the
-  // result is the deepest complete level prefix, same as a boundary stop.
-  const bool lifecycle_armed =
-      options.cancel != nullptr || options.deadline != Deadline{};
-  std::atomic<bool> lifecycle_stop{false};
-
-  std::barrier<> level_start(threads + 1);
-  std::barrier<> level_end(threads + 1);
-
-  auto worker_main = [&](int widx) {
-    ParallelWorker& w = workers[static_cast<std::size_t>(widx)];
-    obs::Progress::WorkerSlot* slot =
-        live.on ? obs::Progress::global().worker(widx) : nullptr;
-    std::uint64_t seen_cas_retries = 0;
-    std::uint64_t seen_edges = 0;
-    CanonSeen canon_seen;
-    while (true) {
-      level_start.arrive_and_wait();
-      if (done.load(std::memory_order_acquire)) return;
-      // Per-worker-thread lane; "worker" events scale with the pool size and
-      // are excluded from trace-count determinism comparisons.
-      obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
-      if (slot != nullptr) slot->busy.store(1, std::memory_order_relaxed);
-      std::uint64_t expanded = 0;
-      while (!exhausted.load(std::memory_order_relaxed) &&
-             !lifecycle_stop.load(std::memory_order_relaxed)) {
-        const std::size_t begin =
-            cursor.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= frontier.size()) break;
-        // Work-chunk boundary lifecycle poll (every kChunk items).
-        if (lifecycle_armed &&
-            ((options.cancel != nullptr && options.cancel->cancelled()) ||
-             deadline_passed(options.deadline))) {
-          lifecycle_stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::size_t end = std::min(frontier.size(), begin + kChunk);
-        const bool ok = w.ex.expand_chunk(
-            std::span<WorkItem>(frontier.data() + begin, end - begin),
-            &w.sink,
-            [&w](WorkItem&& item) { w.next.push_back(std::move(item)); });
-        expanded += end - begin;
-        if (slot != nullptr) {
-          // Work-chunk boundary: live-publish mid-level so heartbeats keep
-          // moving through a huge level (mirrors the work-stealing engine).
-          // Concurrent absolute republications of table.size() race; a
-          // stale smaller one must not un-publish, hence raise().
-          slot->expanded.fetch_add(end - begin, std::memory_order_relaxed);
-          obs::Progress& p = obs::Progress::global();
-          const std::uint64_t edges = w.sink.pool.size();
-          p.transitions_total.fetch_add(edges - seen_edges,
-                                        std::memory_order_relaxed);
-          seen_edges = edges;
-          obs::Progress::raise(p.nodes_total,
-                               live.nodes_base + table.size() - prefix_nodes);
-        }
-        if (!ok) exhausted.store(true, std::memory_order_relaxed);
-      }
-      w.expanded += expanded;
-      if (slot != nullptr) {
-        slot->busy.store(0, std::memory_order_relaxed);
-        const std::uint64_t cas_retries = w.ex.tally().cas_retries;
-        slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
-                                    std::memory_order_relaxed);
-        seen_cas_retries = cas_retries;
-      }
-      // Level boundary: drain canonicalization tallies so heartbeat
-      // snapshots see them move while the run is live.
-      if (sym != nullptr) {
-        add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
-      }
-      worker_span.arg("expanded", static_cast<std::int64_t>(expanded));
-      level_end.arrive_and_wait();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker_main, t);
-
-  bool interrupted = false;
-  bool midlevel = false;  // interruption landed inside a level
-  Status checkpoint_status = Status::ok();
-  while (!frontier.empty() && !exhausted.load(std::memory_order_relaxed)) {
-    // Top of loop == level boundary: workers quiescent, every level < depth
-    // fully expanded, `frontier` holding exactly the depth-`depth` nodes.
-    if (live.on) {
-      std::uint64_t session_edges = 0;
-      for (const ParallelWorker& w : workers) session_edges += w.sink.pool.size();
-      live.publish(table.size() - prefix_nodes, session_edges, depth,
-                   frontier.size());
-    }
-    const std::uint32_t session_levels = depth - seed.start_depth;
-    if (stop_reason(options, session_levels) != StopReason::kNone) {
-      interrupted = true;
-      break;
-    }
-    if (!options.checkpoint_path.empty() &&
-        options.checkpoint_every_levels > 0 && session_levels > 0 &&
-        session_levels % options.checkpoint_every_levels == 0) {
-      const CanonicalBuild snapshot = internal::GraphBuilder::build(
-          table, workers, seed, options.resume, sym != nullptr,
-          /*trust_depths=*/true, truncated.load(std::memory_order_relaxed),
-          /*take_configs=*/false);
-      checkpoint_status = write_checkpoint(
-          snapshot.graph, canonical_frontier(frontier, snapshot.canon), depth,
-          fingerprint, options, flag_fn != nullptr, initial_flag);
-      if (!checkpoint_status.is_ok()) break;
-    }
-    // Mirrors the serial engine's one "explore.level" phase span per level.
-    obs::Span level_span("explore.level", obs::kCatPhase, /*lane=*/0);
-    level_span.arg("level", depth);
-    level_span.arg("nodes", static_cast<std::int64_t>(frontier.size()));
-    cursor.store(0, std::memory_order_relaxed);
-    level_start.arrive_and_wait();
-    // Workers expand this level...
-    level_end.arrive_and_wait();
-    if (lifecycle_stop.load(std::memory_order_relaxed)) {
-      // A worker tripped cancel/deadline mid-level: this level is partially
-      // expanded, so skip the merge and let the trim pass roll the build
-      // back to the last complete level boundary.
-      interrupted = true;
-      midlevel = true;
-      break;
-    }
-    std::vector<WorkItem> next;
-    for (ParallelWorker& w : workers) {
-      // Cross-worker concatenation order is arbitrary; the renumbering pass
-      // is insensitive to it.
-      std::move(w.next.begin(), w.next.end(), std::back_inserter(next));
-      w.next.clear();
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-  done.store(true, std::memory_order_release);
-  level_start.arrive_and_wait();
-  for (std::thread& t : pool) t.join();
-  if (!checkpoint_status.is_ok()) return checkpoint_status;
-
-  BatchTable::Tally tally = seed_tally;
-  for (const ParallelWorker& w : workers) tally += w.ex.tally();
-  add_intern_metrics(table, tally);
-
-  if (exhausted.load()) {
-    return resource_exhausted("explore: node budget exceeded (" +
-                              std::to_string(options.max_nodes) + ")");
-  }
-
-  // --- Canonical renumbering (single-threaded, at quiescence). ---
-  CanonicalBuild built = internal::GraphBuilder::build(
-      table, workers, seed, options.resume, sym != nullptr,
-      /*trust_depths=*/true, truncated.load(std::memory_order_relaxed),
-      /*take_configs=*/true);
-  // A mid-level stop leaves the current level partially expanded; trim back
-  // to the last complete level boundary (same state a boundary-time stop
-  // would have produced). Level-synchronous expansion keeps stored depths
-  // exact, so the trimmed prefix is an array prefix here too.
-  bool trimmed = false;
-  if (midlevel) {
-    trimmed =
-        internal::GraphBuilder::trim_to_complete_prefix(&built, seed.truncated);
-  }
-  ConfigGraph graph = std::move(built.graph);
-  if (midlevel && !trimmed) {
-    // The poll tripped after every frontier node was already expanded: the
-    // graph is complete after all.
-    interrupted = false;
-  }
-  if (interrupted) {
-    if (!midlevel) {
-      graph.interrupted_ = true;
-      graph.levels_completed_ = depth;
-      graph.pending_frontier_ = canonical_frontier(frontier, built.canon);
-    }  // else: trim_to_complete_prefix already set the interruption state.
-    if (!options.checkpoint_path.empty()) {
-      const Status written = write_checkpoint(
-          graph, graph.pending_frontier_, graph.levels_completed_, fingerprint,
-          options, flag_fn != nullptr, initial_flag);
-      if (!written.is_ok()) return written;
-    }
-  } else {
-    graph.levels_completed_ =
-        graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
-  }
-  add_stable_counters(built, graph, seed, options.resume == nullptr,
-                      trimmed ? graph.levels_completed_
-                              : std::numeric_limits<std::uint32_t>::max());
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count() - seed.base_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
-  record_graph_metrics(graph);
-  return graph;
-}
-
-// ---------------------------------------------------------------------------
 // Work-stealing engine.
+//
+// Level pauses. A run with max_levels or periodic checkpoints has a pause
+// level B: the next level boundary at which it must stop or snapshot.
+// Workers park every discovery of stored depth >= B instead of queueing it.
+// Once the queues drain, the canonical walk gives every node its BFS depth,
+// and parked nodes shallower than B are queued again at that depth; this
+// repeats until none is left. Stored depths only over-estimate, so from
+// then on the expanded nodes are exactly those of depth < B (the serial
+// engine's state at boundary B) and the parked ones, all of depth B, are
+// its pending frontier. The run then stops (max_levels) or writes a
+// checkpoint, raises B and releases the parked nodes. A run with neither
+// option has no pause level and never parks.
 // ---------------------------------------------------------------------------
 
 StatusOr<ConfigGraph> Explorer::explore_work_stealing(
@@ -1460,13 +1232,24 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
   SeedState seed = std::move(seed_or).value();
   truncated.store(seed.truncated, std::memory_order_relaxed);
 
-  // max_levels is an expansion-depth bound here: discoveries at the bound
-  // are interned but never queued, and the trim pass reports the level
-  // actually completed.
-  const std::uint32_t depth_bound =
+  constexpr std::uint32_t kNoPause = std::numeric_limits<std::uint32_t>::max();
+  auto levels_after = [](std::uint32_t level, std::uint32_t n) {
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kNoPause, std::uint64_t{level} + n));
+  };
+  const std::uint32_t stop_level =
       options.max_levels > 0
-          ? seed.start_depth + options.max_levels
-          : std::numeric_limits<std::uint32_t>::max();
+          ? levels_after(seed.start_depth, options.max_levels)
+          : kNoPause;
+  const std::uint32_t checkpoint_every =
+      options.checkpoint_path.empty() ? 0 : options.checkpoint_every_levels;
+  auto next_pause = [&](std::uint32_t level) {
+    return checkpoint_every > 0
+               ? std::min(stop_level, levels_after(level, checkpoint_every))
+               : stop_level;
+  };
+  // Changed only between rounds, while no worker runs.
+  std::uint32_t pause_level = next_pause(seed.start_depth);
 
   const LiveProgress live = LiveProgress::capture();
   if (live.on) obs::Progress::global().configure_workers(threads);
@@ -1489,34 +1272,35 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
     std::deque<WorkItem> items;
   };
   std::deque<WsQueue> queues(static_cast<std::size_t>(threads));
-  // Items discovered but not yet expanded (queued or inside a worker's
-  // chunk). Zero with all queues empty == global termination.
+  // Items queued but not yet expanded (queued or inside a worker's chunk).
+  // Zero with all queues empty == the end of a round.
   std::atomic<std::int64_t> in_flight{0};
   std::atomic<bool> stop{false};
 
-  {
-    std::size_t t = 0;
-    in_flight.store(static_cast<std::int64_t>(seed.frontier.size()),
-                    std::memory_order_relaxed);
-    for (WorkItem& item : seed.frontier) {
-      queues[t % static_cast<std::size_t>(threads)].items.push_back(
-          std::move(item));
-      ++t;
+  // Deals `items` round-robin onto the queues; only between rounds.
+  auto enqueue = [&](std::vector<WorkItem>* items) {
+    in_flight.fetch_add(static_cast<std::int64_t>(items->size()),
+                        std::memory_order_relaxed);
+    for (std::size_t i = 0; i < items->size(); ++i) {
+      queues[i % static_cast<std::size_t>(threads)].items.push_back(
+          (*items)[i]);
     }
-    seed.frontier.clear();
-  }
+    items->clear();
+  };
+  enqueue(&seed.frontier);
 
   auto worker_main = [&](int widx) {
     ParallelWorker& w = workers[static_cast<std::size_t>(widx)];
     obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
     obs::Progress::WorkerSlot* slot =
         live.on ? obs::Progress::global().worker(widx) : nullptr;
-    std::uint64_t seen_cas_retries = 0;
-    std::uint64_t seen_edges = 0;
-    CanonSeen canon_seen;
+    const std::uint64_t expanded_before = w.expanded;
     std::vector<WorkItem> chunk;
     auto emit = [&](WorkItem&& item) {
-      if (item.depth >= depth_bound) return;  // discovered, never expanded
+      if (item.depth >= pause_level) {
+        w.parked.push_back(std::move(item));
+        return;
+      }
       in_flight.fetch_add(1, std::memory_order_acq_rel);
       WsQueue& own = queues[static_cast<std::size_t>(widx)];
       std::lock_guard<std::mutex> lock(own.mu);
@@ -1535,7 +1319,7 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
       if (chunk.empty() && threads > 1) {
         // Steal up to half the victim's queue (capped at a chunk), oldest
         // items first — oldest are shallowest, which keeps expansion close
-        // to BFS order and the eventual trim level deep.
+        // to BFS order (fewer pause re-queues, a deeper cancellation trim).
         for (int off = 1; off < threads && chunk.empty(); ++off) {
           WsQueue& victim =
               queues[static_cast<std::size_t>((widx + off) % threads)];
@@ -1558,8 +1342,7 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
         std::this_thread::yield();
         continue;
       }
-      // Work-chunk boundary: this engine's one lifecycle poll point
-      // (max_levels is handled by depth_bound above, not here).
+      // Work-chunk boundary: this engine's cancel/deadline poll point.
       if ((options.cancel != nullptr && options.cancel->cancelled()) ||
           deadline_passed(options.deadline)) {
         // The chunk's items (and everything still queued) simply stay
@@ -1577,7 +1360,7 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
       // Chunk boundary: the engine's counter-drain cadence (it has no level
       // barriers); the final chunk's drain publishes the run totals.
       if (sym != nullptr) {
-        add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
+        add_canon_metrics(*w.ex.canon_scratch(), &w.canon_seen);
       }
       if (slot != nullptr) {
         // Work-chunk boundary: this engine's live-publication point. Nodes
@@ -1587,14 +1370,14 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
         slot->busy.store(0, std::memory_order_relaxed);
         slot->expanded.fetch_add(chunk.size(), std::memory_order_relaxed);
         const std::uint64_t cas_retries = w.ex.tally().cas_retries;
-        slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
+        slot->cas_retries.fetch_add(cas_retries - w.seen_cas_retries,
                                     std::memory_order_relaxed);
-        seen_cas_retries = cas_retries;
+        w.seen_cas_retries = cas_retries;
         obs::Progress& p = obs::Progress::global();
         const std::uint64_t edges = w.sink.pool.size();
-        p.transitions_total.fetch_add(edges - seen_edges,
+        p.transitions_total.fetch_add(edges - w.seen_edges,
                                       std::memory_order_relaxed);
-        seen_edges = edges;
+        w.seen_edges = edges;
         obs::Progress::raise(p.nodes_total,
                              live.nodes_base + table.size() - prefix_nodes);
         const std::int64_t pending =
@@ -1608,13 +1391,60 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
         stop.store(true, std::memory_order_relaxed);
       }
     }
-    worker_span.arg("expanded", static_cast<std::int64_t>(w.expanded));
+    worker_span.arg("expanded",
+                    static_cast<std::int64_t>(w.expanded - expanded_before));
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker_main, t);
-  for (std::thread& t : pool) t.join();
+  // Rounds: run the pool until the queues drain, then settle or act on the
+  // pause level (see the comment above this function).
+  std::vector<WorkItem> parked;
+  bool paused = false;  // stopped exactly at pause_level, `parked` pending
+  Status checkpoint_status = Status::ok();
+  while (true) {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker_main, t);
+    for (std::thread& t : pool) t.join();
+    if (stop.load(std::memory_order_relaxed)) break;
+    for (ParallelWorker& w : workers) {
+      parked.insert(parked.end(), w.parked.begin(), w.parked.end());
+      w.parked.clear();
+    }
+    if (parked.empty()) break;  // complete
+    const std::vector<std::uint32_t> depth =
+        internal::GraphBuilder::canonical_depths(table, workers, seed,
+                                                 options.resume);
+    std::vector<WorkItem> shallow;
+    std::vector<WorkItem> at_pause;
+    for (WorkItem& item : parked) {
+      item.depth = depth[item.id];
+      (item.depth < pause_level ? shallow : at_pause).push_back(item);
+    }
+    parked = std::move(at_pause);
+    if (!shallow.empty()) {
+      enqueue(&shallow);
+      continue;
+    }
+    // Level boundary pause_level, exactly as the serial engine reaches it.
+    if (stop_reason(options, pause_level - seed.start_depth) !=
+        StopReason::kNone) {
+      paused = true;
+      break;
+    }
+    const CanonicalBuild snapshot = internal::GraphBuilder::build(
+        table, workers, seed, options.resume, sym != nullptr,
+        truncated.load(std::memory_order_relaxed), /*take_configs=*/false);
+    checkpoint_status = write_checkpoint(
+        snapshot.graph, canonical_frontier(parked, snapshot.canon),
+        pause_level, fingerprint, options, flag_fn != nullptr, initial_flag);
+    if (!checkpoint_status.is_ok()) break;
+    live.publish(snapshot.graph.nodes().size() - prefix_nodes,
+                 snapshot.graph.transition_count() - seed.base_transitions,
+                 pause_level, parked.size());
+    pause_level = next_pause(pause_level);
+    enqueue(&parked);
+  }
+  if (!checkpoint_status.is_ok()) return checkpoint_status;
 
   BatchTable::Tally tally = seed_tally;
   std::uint64_t steals = 0;
@@ -1637,12 +1467,18 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
 
   CanonicalBuild built = internal::GraphBuilder::build(
       table, workers, seed, options.resume, sym != nullptr,
-      /*trust_depths=*/false, truncated.load(std::memory_order_relaxed),
-      /*take_configs=*/true);
-  const bool trimmed = internal::GraphBuilder::trim_to_complete_prefix(
-      &built, seed.truncated);
+      truncated.load(std::memory_order_relaxed), /*take_configs=*/true);
+  bool trimmed = false;
+  if (paused) {
+    built.graph.interrupted_ = true;
+    built.graph.levels_completed_ = pause_level;
+    built.graph.pending_frontier_ = canonical_frontier(parked, built.canon);
+  } else {
+    trimmed = internal::GraphBuilder::trim_to_complete_prefix(
+        &built, table, workers, seed.truncated);
+  }
   ConfigGraph graph = std::move(built.graph);
-  if (trimmed) {
+  if (graph.interrupted_) {
     if (!options.checkpoint_path.empty()) {
       const Status written = write_checkpoint(
           graph, graph.pending_frontier_, graph.levels_completed_,
@@ -1653,7 +1489,8 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
     graph.levels_completed_ =
         graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
   }
-  add_stable_counters(built, graph, seed, options.resume == nullptr,
+  add_stable_counters(built.canon, workers, graph, seed,
+                      options.resume == nullptr,
                       trimmed ? graph.levels_completed_
                               : std::numeric_limits<std::uint32_t>::max());
   live.publish(graph.nodes_.size() - prefix_nodes,
@@ -1769,8 +1606,6 @@ const char* engine_name(ExploreEngine engine) {
       return "auto";
     case ExploreEngine::kSerial:
       return "serial";
-    case ExploreEngine::kParallel:
-      return "parallel";
     case ExploreEngine::kWorkStealing:
       return "workstealing";
   }
@@ -1780,24 +1615,20 @@ const char* engine_name(ExploreEngine engine) {
 StatusOr<ExploreEngine> parse_engine(const std::string& name) {
   if (name == "auto") return ExploreEngine::kAuto;
   if (name == "serial") return ExploreEngine::kSerial;
-  if (name == "parallel") return ExploreEngine::kParallel;
   if (name == "workstealing") return ExploreEngine::kWorkStealing;
-  return invalid_argument(
-      "unknown engine '" + name +
-      "' (known: auto, serial, parallel, workstealing)");
+  return invalid_argument("unknown engine '" + name +
+                          "' (known: auto, serial, workstealing)");
 }
 
 StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
                                         FlagFn flag_fn,
                                         std::int64_t initial_flag) const {
-  const int threads = resolve_threads(options);
-  if (options.engine == ExploreEngine::kWorkStealing &&
-      options.checkpoint_every_levels > 0) {
-    return invalid_argument(
-        "explore: the work-stealing engine has no level boundaries and "
-        "cannot honor checkpoint_every_levels; use engine=parallel (or "
-        "auto) for periodic checkpoints");
+  if (options.threads < 0 || options.threads > kMaxExploreThreads) {
+    return invalid_argument("explore: threads must be in [0, " +
+                            std::to_string(kMaxExploreThreads) + "], got " +
+                            std::to_string(options.threads));
   }
+  const int threads = resolve_threads(options);
 
   const bool want_sym = options.reduction == Reduction::kSymmetry ||
                         options.reduction == Reduction::kBoth;
@@ -1911,77 +1742,23 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
         std::make_shared<sim::CanonCachePool>(opts.canon_cache_bytes);
   }
 
+  // kAuto: one worker runs the serial reference engine, more run work
+  // stealing from the root (or from `resume`).
   ExploreEngine used = options.engine;
-  bool auto_switched = false;
-  StatusOr<ConfigGraph> result = [&]() -> StatusOr<ConfigGraph> {
-    switch (opts.engine) {
-      case ExploreEngine::kSerial:
-        return explore_serial(opts, flag_fn, initial_flag, sym.get(), por,
-                              fingerprint);
-      case ExploreEngine::kParallel:
-        return explore_parallel(opts, threads, flag_fn, initial_flag,
-                                sym.get(), por, fingerprint);
-      case ExploreEngine::kWorkStealing:
-        return explore_work_stealing(opts, threads, flag_fn, initial_flag,
-                                     sym.get(), por, fingerprint);
-      case ExploreEngine::kAuto:
-        break;
-    }
-    // kAuto. One thread: nothing to hand off to.
-    if (threads <= 1) {
-      used = ExploreEngine::kSerial;
-      return explore_serial(opts, flag_fn, initial_flag, sym.get(), por,
-                            fingerprint);
-    }
-    // Periodic checkpoint cadence is defined by level boundaries, which
-    // only the level-synchronous engine has end to end.
-    if (opts.checkpoint_every_levels > 0) {
-      used = ExploreEngine::kParallel;
-      return explore_parallel(opts, threads, flag_fn, initial_flag,
-                              sym.get(), por, fingerprint);
-    }
-    // Serial probe: small graphs finish right here with zero parallel
-    // overhead; big ones hand their canonical prefix to a parallel engine
-    // through an in-memory checkpoint.
-    bool switched = false;
-    auto probe = explore_serial(opts, flag_fn, initial_flag, sym.get(),
-                                por, fingerprint, kAutoSwitchNodes, &switched);
-    if (!probe.is_ok() || !switched) {
-      used = ExploreEngine::kSerial;
-      return probe;
-    }
-    auto_switched = true;
-    LBSA_OBS_COUNTER_ADD_V("explore.auto.switches", 1);
-    const ConfigGraph& prefix = probe.value();
-    const std::uint32_t probe_levels =
-        prefix.levels_completed() -
-        (options.resume != nullptr ? options.resume->levels_completed : 0);
-    const ExploreCheckpoint handoff = checkpoint_from_graph(
-        prefix, prefix.pending_frontier(), prefix.levels_completed(),
-        fingerprint, options, flag_fn != nullptr, initial_flag);
-    // The continuation inherits `opts`, pool included: the probe warmed
-    // worker 0's cache and the parallel engine's worker 0 picks it up.
-    ExploreOptions cont = opts;
-    cont.resume = &handoff;
-    // stop_reason() fires before the switch check, so when max_levels is
-    // set the probe stopped strictly short of it: remaining >= 1.
-    if (options.max_levels > 0) cont.max_levels -= probe_levels;
-    if (prefix.pending_frontier().size() >=
-        kAutoWideFrontier * static_cast<std::size_t>(threads)) {
-      used = ExploreEngine::kParallel;
-      return explore_parallel(cont, threads, flag_fn, initial_flag, sym.get(),
-                              por, fingerprint);
-    }
-    used = ExploreEngine::kWorkStealing;
-    return explore_work_stealing(cont, threads, flag_fn, initial_flag,
-                                 sym.get(), por, fingerprint);
-  }();
+  if (used == ExploreEngine::kAuto) {
+    used = threads > 1 ? ExploreEngine::kWorkStealing : ExploreEngine::kSerial;
+  }
+  StatusOr<ConfigGraph> result =
+      used == ExploreEngine::kSerial
+          ? explore_serial(opts, flag_fn, initial_flag, sym.get(), por,
+                           fingerprint)
+          : explore_work_stealing(opts, threads, flag_fn, initial_flag,
+                                  sym.get(), por, fingerprint);
 
   if (result.is_ok()) {
     ConfigGraph& graph = result.value();
     graph.reduction_ = options.reduction;
     graph.engine_used_ = used;
-    graph.auto_switched_ = auto_switched;
     graph.canonicalizer_ = std::move(sym);
     graph.lift_protocol_ = protocol_;
   }

@@ -32,38 +32,36 @@ namespace lbsa::modelcheck {
 struct ExploreCheckpoint;  // modelcheck/checkpoint.h
 
 namespace internal {
-// Grants the explorer's shared canonical-renumbering machinery (explorer.cc)
-// access to ConfigGraph internals; both parallel engines build and trim
+// Grants the explorer's canonical-renumbering machinery (explorer.cc)
+// access to ConfigGraph internals; the work-stealing engine builds and trims
 // graphs through it.
 struct GraphBuilder;
 }  // namespace internal
 
 // Which exploration engine to run.
 //   kSerial — the reference implementation; defines the canonical graph.
-//   kParallel — level-synchronous BFS over a worker pool with batched
-//     lock-free interning; best for wide frontiers, and the only parallel
-//     engine with level boundaries (periodic checkpoints).
-//   kWorkStealing — per-worker deques with chunked stealing; keeps every
-//     worker busy on deep/narrow graphs where whole BFS levels are smaller
-//     than the pool. No level boundaries: periodic checkpointing is
-//     rejected, and interruption trims the result back to the deepest
-//     complete level (see docs/checking.md, "Engine selection").
-//   kAuto — starts serial and, once the explored region outgrows a
-//     threshold where parallel overhead pays for itself, hands the run to
-//     kParallel (wide frontier) or kWorkStealing (narrow) via an in-memory
-//     checkpoint. Small graphs never leave the serial fast path.
+//   kWorkStealing — per-worker deques with chunked stealing over a batched
+//     lock-free intern table, renumbered into the canonical order at the
+//     end. It has no level barriers; max_levels and periodic checkpoints
+//     pause it at exact level boundaries, and cancel/deadline trim the
+//     result back to the deepest complete level (see docs/checking.md,
+//     "Engine selection").
+//   kAuto — kSerial at one thread, kWorkStealing at more.
 // All engines produce bit-identical complete graphs (canonical
-// renumbering); the explicit values exist for equivalence testing and
-// benchmarking.
+// renumbering) and bit-identical max_levels prefixes; the explicit values
+// exist for equivalence testing and benchmarking.
 enum class ExploreEngine {
   kAuto = 0,
   kSerial,
-  kParallel,
   kWorkStealing,
 };
 
+// Upper bound on ExploreOptions::threads: explore() rejects anything above
+// it (and anything negative) before starting a worker.
+inline constexpr int kMaxExploreThreads = 256;
+
 // Stable short name for CLI flags and run reports: "auto", "serial",
-// "parallel", "workstealing".
+// "workstealing".
 const char* engine_name(ExploreEngine engine);
 // Inverse of engine_name(); INVALID_ARGUMENT on anything else.
 StatusOr<ExploreEngine> parse_engine(const std::string& name);
@@ -106,15 +104,16 @@ struct ExploreOptions {
   // Soundness note: on a truncated graph, property VIOLATIONS found are
   // real (every node is reachable), but their absence certifies only the
   // explored region; valence analysis is likewise a lower bound on
-  // reachable decisions. Additionally, a truncated PARALLEL run keeps a
+  // reachable decisions. Additionally, a truncated work-stealing run keeps a
   // schedule-dependent prefix: which nodes fall inside the budget depends
   // on thread interleaving, so truncated graphs are not bit-identical
   // across engines or thread counts (complete graphs always are).
   bool allow_truncation = false;
-  // Worker threads for the parallel engine; 0 = hardware_concurrency.
-  // Exploration is deterministic for every thread count: the parallel
-  // engine renumbers its result into the canonical serial BFS order, so a
-  // complete graph is bit-identical to the serial engine's.
+  // Worker threads for the work-stealing engine, in [0,
+  // kMaxExploreThreads]; 0 = hardware_concurrency (capped at the same
+  // bound). Exploration is deterministic for every thread count: the
+  // work-stealing engine renumbers its result into the canonical serial BFS
+  // order, so a complete graph is bit-identical to the serial engine's.
   int threads = 0;
   ExploreEngine engine = ExploreEngine::kAuto;
   // Which state-space reduction to apply (see Reduction above).
@@ -152,18 +151,17 @@ struct ExploreOptions {
   std::shared_ptr<const sim::Canonicalizer> canonicalizer;
 
   // --- run lifecycle (docs/checking.md, "Long runs") ---
-  // All three engines poll cancel/deadline INSIDE levels, at work-chunk
+  // Both engines poll cancel/deadline INSIDE levels, at work-chunk
   // boundaries (every kChunk expansions per worker), so a trip stops the
   // run promptly even mid-way through a wide level. Stopping still only
   // ever happens at a BFS level boundary — the one point that preserves the
   // canonical-prefix guarantee: the serial engine rolls partially-expanded
-  // work back to the last completed level, the level-synchronous parallel
-  // engine trims the partial level before renumbering, and the
-  // work-stealing engine trims its result back to the deepest
-  // fully-expanded level. An interrupted graph is therefore bit-identical
-  // to the corresponding prefix of an uninterrupted run, for every engine
-  // and thread count (complete levels only). max_levels and periodic
-  // checkpoints remain level-boundary conditions.
+  // work back to the last completed level, and the work-stealing engine
+  // trims its result back to the deepest fully-expanded level. An
+  // interrupted graph is therefore bit-identical to the corresponding
+  // prefix of an uninterrupted run, for every engine and thread count
+  // (complete levels only). max_levels and periodic checkpoints are exact
+  // level-boundary conditions for both engines.
   //
   // Cooperative cancellation. Non-owning; may be tripped from a signal
   // handler. When it fires, explore() returns an *interrupted* graph
@@ -175,19 +173,14 @@ struct ExploreOptions {
   // Deterministic interruption: stop (interrupted) once this many NEW
   // levels have completed this session; 0 = unlimited. This is the testable
   // stand-in for a wall-clock deadline — same code path, no timing races.
-  // The work-stealing engine (no level boundaries) treats this as an
-  // expansion-depth bound and may settle on FEWER completed levels (it
-  // trims to the deepest serial-identical prefix); read
-  // ConfigGraph::levels_completed() for the level actually reached.
+  // Every engine and thread count stops at exactly this level with the
+  // serial engine's graph.
   std::uint32_t max_levels = 0;
   // When non-empty, a resumable checkpoint is written here (atomically) at
   // every interruption, and additionally every checkpoint_every_levels
   // completed levels when that is non-zero. A failed checkpoint write fails
   // the run (a long run silently losing its safety net is the worse bug).
-  // Periodic checkpoints need level boundaries: combining a non-zero
-  // checkpoint_every_levels with engine == kWorkStealing is
-  // INVALID_ARGUMENT, and kAuto then completes the run on the
-  // level-synchronous parallel engine.
+  // Every engine writes byte-identical checkpoint files at the same levels.
   std::string checkpoint_path;
   std::uint32_t checkpoint_every_levels = 0;
   // Label echoed into checkpoints and error messages (task name); not
@@ -250,12 +243,9 @@ class ConfigGraph {
   // The reduction mode this graph was explored under.
   Reduction reduction() const { return reduction_; }
   // The engine that actually produced this graph (never kAuto: an auto run
-  // reports the engine it settled on). With auto_switched(), lets reports
-  // attribute nodes/sec to the code path that did the work.
+  // reports the engine it resolved to), so reports attribute nodes/sec to
+  // the code path that did the work.
   ExploreEngine engine_used() const { return engine_used_; }
-  // True iff this was a kAuto run that outgrew the serial probe and handed
-  // off to a parallel engine mid-run.
-  bool auto_switched() const { return auto_switched_; }
   // Non-null iff symmetry reduction was active (non-trivial group).
   const std::shared_ptr<const sim::Canonicalizer>& canonicalizer() const {
     return canonicalizer_;
@@ -295,7 +285,6 @@ class ConfigGraph {
   std::vector<std::uint32_t> pending_frontier_;
   Reduction reduction_ = Reduction::kNone;
   ExploreEngine engine_used_ = ExploreEngine::kSerial;
-  bool auto_switched_ = false;
   std::shared_ptr<const sim::Canonicalizer> canonicalizer_;
   // Kept for path lifting and orbit sizing on reduced graphs.
   std::shared_ptr<const sim::Protocol> lift_protocol_;
@@ -305,8 +294,8 @@ class Explorer {
  public:
   // Folds a step into the path flag (must be monotone for the graph to be
   // meaningful: nodes reached with different flags are distinct nodes).
-  // Must be a pure function of its arguments: the parallel engine calls it
-  // concurrently from worker threads.
+  // Must be a pure function of its arguments: the work-stealing engine calls
+  // it concurrently from worker threads.
   using FlagFn =
       std::function<std::int64_t(std::int64_t flag, const sim::Step& step)>;
 
@@ -328,29 +317,16 @@ class Explorer {
   // The serial reference engine: defines the canonical graph (ids in BFS
   // discovery order). sym is non-null iff symmetry reduction is active;
   // fingerprint stamps any checkpoint written (see checkpoint.h).
-  // switch_after_nodes > 0 is the kAuto probe mode: once the graph holds at
-  // least that many nodes at a level boundary, return the interrupted
-  // prefix (no checkpoint written) with *switched set, for a parallel
-  // engine to resume.
   StatusOr<ConfigGraph> explore_serial(const ExploreOptions& options,
                                        const FlagFn& flag_fn,
                                        std::int64_t initial_flag,
                                        const sim::Canonicalizer* sym,
                                        bool por,
-                                       std::uint64_t fingerprint,
-                                       std::uint64_t switch_after_nodes = 0,
-                                       bool* switched = nullptr) const;
-  // Level-synchronous parallel engine over `threads` workers; renumbers its
-  // result into the canonical order before returning.
-  StatusOr<ConfigGraph> explore_parallel(const ExploreOptions& options,
-                                         int threads, const FlagFn& flag_fn,
-                                         std::int64_t initial_flag,
-                                         const sim::Canonicalizer* sym,
-                                         bool por,
-                                         std::uint64_t fingerprint) const;
+                                       std::uint64_t fingerprint) const;
   // Work-stealing engine: per-worker deques, chunked stealing, a pending
-  // counter for termination. On interruption the canonical result is
-  // trimmed back to the deepest serial-identical prefix.
+  // counter for termination, exact pauses at level boundaries for
+  // max_levels and periodic checkpoints. On cancellation the canonical
+  // result is trimmed back to the deepest serial-identical prefix.
   StatusOr<ConfigGraph> explore_work_stealing(const ExploreOptions& options,
                                               int threads,
                                               const FlagFn& flag_fn,

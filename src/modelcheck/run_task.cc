@@ -114,12 +114,9 @@ TaskRunResult run_explore_task(const NamedTask& task,
     w.value_uint(graph.levels_completed());
     w.key("reduction");
     w.value_string(reduction_name(graph.reduction()));
-    // The engine that actually ran (kAuto resolves to one of the concrete
-    // engines; auto_switched records a mid-run serial->parallel handoff).
+    // The engine that actually ran (kAuto resolves to a concrete engine).
     w.key("engine_used");
     w.value_string(engine_name(graph.engine_used()));
-    w.key("auto_switched");
-    w.value_bool(graph.auto_switched());
     // Only on complete graphs (see `complete` above): the schema validator
     // rejects a ratio sitting next to truncated/interrupted = true.
     if (complete && !graph.nodes().empty()) {

@@ -39,8 +39,8 @@ namespace lbsa::obs {
 inline constexpr int kHeartbeatSchemaVersion = 1;
 inline constexpr int kHeartbeatSummarySchemaVersion = 1;
 
-// Per-worker utilization slots published by the parallel engines. A fixed
-// cap keeps the slots allocation-free and index-stable for samplers.
+// Per-worker utilization slots published by the work-stealing engine. A
+// fixed cap keeps the slots allocation-free and index-stable for samplers.
 inline constexpr int kProgressMaxWorkers = 64;
 
 // Process-wide heartbeat switch, mirroring metrics_enabled(): engines

@@ -282,12 +282,11 @@ Status validate_bench_artifact_json(std::string_view json) {
     // Engine-sweep rows: "engine" (when present) must be a known engine.
     if (const JsonValue* engine = row.find("engine"); engine != nullptr) {
       if (!engine->is_string() || (engine->string_value != "serial" &&
-                                   engine->string_value != "parallel" &&
                                    engine->string_value != "workstealing" &&
                                    engine->string_value != "auto")) {
         return invalid_argument(
             "bench schema: benchmark engine not one of "
-            "serial/parallel/workstealing/auto");
+            "serial/workstealing/auto");
       }
     }
     // Obs-overhead rows: "obs" (when present) names which telemetry state
@@ -540,11 +539,10 @@ Status validate_hierarchy_artifact_json(std::string_view json) {
   const JsonValue* engine = provenance->find("engine");
   if (engine == nullptr || !engine->is_string() ||
       (engine->string_value != "serial" &&
-       engine->string_value != "parallel" &&
        engine->string_value != "workstealing" &&
        engine->string_value != "auto")) {
     return hierarchy_error(
-        "provenance.engine not one of serial/parallel/workstealing/auto");
+        "provenance.engine not one of serial/workstealing/auto");
   }
   if (Status s =
           check_hierarchy_int(*provenance, "threads", 0, "provenance");

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "modelcheck/explorer.h"
 #include "obs/json.h"
 
 namespace lbsa::serve {
@@ -37,12 +38,12 @@ Status read_uint(const JsonValue& v, std::string_view key,
 }
 
 Status read_int(const JsonValue& v, std::string_view key, int* out,
-                int min = std::numeric_limits<int>::min()) {
+                int min = std::numeric_limits<int>::min(),
+                int max = std::numeric_limits<int>::max()) {
   if (!v.is_number() || !v.number_is_integer || v.int_value < min ||
-      v.int_value > std::numeric_limits<int>::max()) {
+      v.int_value > max) {
     return bad("\"" + std::string(key) + "\" must be an integer in [" +
-               std::to_string(min) + ", " +
-               std::to_string(std::numeric_limits<int>::max()) + "]");
+               std::to_string(min) + ", " + std::to_string(max) + "]");
   }
   *out = static_cast<int>(v.int_value);
   return Status::ok();
@@ -109,7 +110,10 @@ StatusOr<ServeRequest> parse_request(std::string_view line) {
     } else if (key == "target" && req.op == "cancel") {
       s = read_string(value, key, &req.target);
     } else if (key == "threads" && op_takes_graph_knobs(req.op)) {
-      s = read_int(value, key, &req.threads);
+      // Each worker is an OS thread: bound the request before it reaches
+      // an explorer (which enforces the same range).
+      s = read_int(value, key, &req.threads, /*min=*/0,
+                   /*max=*/modelcheck::kMaxExploreThreads);
     } else if (key == "engine" && op_takes_graph_knobs(req.op)) {
       s = read_string(value, key, &req.engine);
     } else if (key == "reduction" && op_takes_graph_knobs(req.op)) {

@@ -48,7 +48,7 @@ struct ServeRequest {
   std::uint64_t heartbeat_ms = 0;  // 0 = no heartbeat stream
 
   // explore / check
-  int threads = 1;
+  int threads = 1;  // [0, modelcheck::kMaxExploreThreads]; 0 = all cores
   std::string engine = "auto";
   std::string reduction = "none";
   std::uint64_t max_nodes = 0;  // 0 = engine default

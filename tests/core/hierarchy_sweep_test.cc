@@ -73,12 +73,12 @@ TEST(HierarchySweep, RowsJsonByteIdenticalAcrossEnginesAndThreads) {
   ASSERT_TRUE(base.is_ok());
   const std::string base_json = hierarchy_rows_json(base.value());
 
-  SweepOptions parallel = serial;
-  parallel.engine = modelcheck::ExploreEngine::kParallel;
-  parallel.threads = 2;
-  auto par = run_hierarchy_sweep(parallel);
-  ASSERT_TRUE(par.is_ok());
-  EXPECT_EQ(hierarchy_rows_json(par.value()), base_json);
+  SweepOptions stealing2 = serial;
+  stealing2.engine = modelcheck::ExploreEngine::kWorkStealing;
+  stealing2.threads = 2;
+  auto ws2 = run_hierarchy_sweep(stealing2);
+  ASSERT_TRUE(ws2.is_ok());
+  EXPECT_EQ(hierarchy_rows_json(ws2.value()), base_json);
 
   SweepOptions stealing = serial;
   stealing.engine = modelcheck::ExploreEngine::kWorkStealing;

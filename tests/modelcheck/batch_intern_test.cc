@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -129,14 +131,31 @@ TEST(BatchInternTable, SeqNumbersInsertionsFromOne) {
 // are (local << 6) | shard with per-shard dense locals — schedule-dependent
 // per key, equal as a set). Run under TSan (-DLBSA_SANITIZE=thread) this is
 // the data-race gate for the batched table.
-class BatchInternHammer : public ::testing::TestWithParam<int> {};
+struct HammerParam {
+  int threads = 1;
+  std::int64_t universe = 6000;
+};
+constexpr std::int64_t kDefaultUniverse = HammerParam{}.universe;
+
+// Prints the thread count alone for the default universe.
+void PrintTo(const HammerParam& p, std::ostream* os) {
+  *os << p.threads;
+  if (p.universe != kDefaultUniverse) {
+    *os << " threads, " << p.universe << " keys";
+  }
+}
+
+class BatchInternHammer : public ::testing::TestWithParam<HammerParam> {};
 
 TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
-  const int threads = GetParam();
-  constexpr std::int64_t kUniverse = 6000;
+  const int threads = GetParam().threads;
+  const std::int64_t universe = GetParam().universe;
   constexpr std::size_t kBatch = 32;
   // 8 initial slots/shard: ~6000/64 ≈ 94 entries per shard means four-plus
-  // doublings (8 -> 16 -> 32 -> 64 -> 128 -> 256) under load.
+  // doublings (8 -> 16 -> 32 -> 64 -> 128 -> 256) under load. The entry log
+  // grows in segments of 64, 128, 256, ... entries per shard, so 6000 keys
+  // cross one segment boundary per shard and 40000 keys (~625 per shard)
+  // cross three.
   auto table = std::make_unique<Table>(/*initial_slots_per_shard=*/8);
 
   std::vector<std::vector<std::pair<std::int64_t, std::uint32_t>>> seen(
@@ -160,14 +179,14 @@ TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
       // Each thread covers 3/4 of the universe, offset by its index, in
       // batches — most keys are contended by several threads. A single
       // thread covers everything itself (no peer fills the gap).
-      const std::int64_t span = threads == 1 ? kUniverse : kUniverse * 3 / 4;
+      const std::int64_t span = threads == 1 ? universe : universe * 3 / 4;
       for (std::int64_t step = 0; step < span; step += kBatch) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::int64_t>(kBatch, span - step));
         for (std::size_t j = 0; j < n; ++j) {
           const std::int64_t i =
               (step + static_cast<std::int64_t>(j) +
-               t * kUniverse / threads) % kUniverse;
+               t * universe / threads) % universe;
           keys[j] = key_for(i);
           cands[j] = Table::Candidate{};
           cands[j].key = keys[j];
@@ -193,7 +212,7 @@ TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
   }
   for (auto& t : pool) t.join();
 
-  EXPECT_EQ(table->size(), static_cast<std::uint64_t>(kUniverse));
+  EXPECT_EQ(table->size(), static_cast<std::uint64_t>(universe));
   EXPECT_GE(table->stats().growths, 4u * Table::kShardCount / 2);
 
   // Every observation of a key agrees on its id, across all threads.
@@ -204,7 +223,7 @@ TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
       EXPECT_EQ(it->second, id) << "key " << i << " saw two ids";
     }
   }
-  EXPECT_EQ(winner.size(), static_cast<std::size_t>(kUniverse));
+  EXPECT_EQ(winner.size(), static_cast<std::size_t>(universe));
 
   // Payloads and keys landed intact.
   std::set<std::uint32_t> batched_ids;
@@ -221,18 +240,24 @@ TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
   // set (identical routing, per-shard dense locals).
   ShardedInternTable<std::int64_t> reference;
   std::set<std::uint32_t> reference_ids;
-  for (std::int64_t i = 0; i < kUniverse; ++i) {
+  for (std::int64_t i = 0; i < universe; ++i) {
     reference_ids.insert(
         reference.intern(key_for(i), [&] { return i; }).id);
   }
   EXPECT_EQ(batched_ids, reference_ids);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, BatchInternHammer,
-                         ::testing::Values(1, 2, 8),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Threads, BatchInternHammer,
+    ::testing::Values(HammerParam{1}, HammerParam{2}, HammerParam{8},
+                      HammerParam{8, 40000}),
+    [](const auto& info) {
+      std::string name = "t" + std::to_string(info.param.threads);
+      if (info.param.universe != kDefaultUniverse) {
+        name += "_u" + std::to_string(info.param.universe);
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lbsa::modelcheck

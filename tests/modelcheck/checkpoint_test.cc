@@ -115,12 +115,12 @@ TEST(Checkpoint, ResumeBitIdenticalAcrossEnginesThreadsAndReductions) {
         EXPECT_FALSE(resumed.interrupted());
         expect_identical(uninterrupted, resumed);
       }
-      // Parallel resume at several thread counts.
+      // Work-stealing resume at several thread counts.
       for (int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ExploreOptions opts;
         opts.reduction = reduction;
-        opts.engine = ExploreEngine::kParallel;
+        opts.engine = ExploreEngine::kWorkStealing;
         opts.threads = threads;
         opts.resume = &cp;
         const ConfigGraph resumed = explore_or_die(task, opts);
@@ -164,11 +164,11 @@ TEST(Checkpoint, PeriodicCheckpointFromParallelEngineResumes) {
   const NamedTask task = get_task("dac3-sym");
   const ConfigGraph uninterrupted = explore_or_die(task, {});
 
-  // Run the parallel engine to completion with periodic checkpoints: the
-  // last periodic snapshot left on disk must itself be resumable.
+  // Run the work-stealing engine to completion with periodic checkpoints:
+  // the last periodic snapshot left on disk must itself be resumable.
   const std::string path = temp_path("periodic.ckpt");
   ExploreOptions opts;
-  opts.engine = ExploreEngine::kParallel;
+  opts.engine = ExploreEngine::kWorkStealing;
   opts.threads = 4;
   opts.checkpoint_path = path;
   opts.checkpoint_every_levels = 2;
@@ -186,7 +186,10 @@ TEST(Checkpoint, PeriodicCheckpointFromParallelEngineResumes) {
 
 TEST(Checkpoint, TruncatedExplorationResumes) {
   const NamedTask task = get_task("dac3-sym");
+  // Which nodes fall inside a budget is schedule-dependent on more than one
+  // worker; the serial engine makes the truncated prefix reproducible.
   ExploreOptions base;
+  base.engine = ExploreEngine::kSerial;
   base.max_nodes = 60;
   base.allow_truncation = true;
   const ConfigGraph truncated = explore_or_die(task, base);
@@ -313,14 +316,14 @@ TEST(Checkpoint, CancelAndDeadlineInterruptBothEngines) {
   const ConfigGraph uninterrupted = explore_or_die(task, {});
 
   for (const auto engine :
-       {ExploreEngine::kSerial, ExploreEngine::kParallel}) {
-    SCOPED_TRACE(engine == ExploreEngine::kSerial ? "serial" : "parallel");
+       {ExploreEngine::kSerial, ExploreEngine::kWorkStealing}) {
+    SCOPED_TRACE(engine_name(engine));
     // A pre-tripped token stops at the first level boundary.
     CancelToken cancel;
     cancel.cancel();
     ExploreOptions opts;
     opts.engine = engine;
-    opts.threads = engine == ExploreEngine::kParallel ? 4 : 1;
+    opts.threads = engine == ExploreEngine::kWorkStealing ? 4 : 1;
     opts.cancel = &cancel;
     const ConfigGraph partial = explore_or_die(task, opts);
     ASSERT_TRUE(partial.interrupted());
@@ -470,7 +473,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   const std::uint64_t threshold = before + 500;
   // Work tolerated AFTER the cancel store is visible: per-worker chunk
   // granularity plus the engines' publication lag (serial publishes every
-  // 512 pops, the parallel engines every 64-item chunk per worker). The
+  // 512 pops, the work-stealing engine every 64-item chunk per worker). The
   // pre-fix engines ran to the end of the level — `yield` more nodes, an
   // order of magnitude past this. Measured against the progress counter AT
   // the cancel, the bound is independent of how promptly the watcher
@@ -479,8 +482,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   ASSERT_GT(yield, kPostCancelSlack + 1500u);
 
   for (const auto engine :
-       {ExploreEngine::kSerial, ExploreEngine::kParallel,
-        ExploreEngine::kWorkStealing}) {
+       {ExploreEngine::kSerial, ExploreEngine::kWorkStealing}) {
     SCOPED_TRACE(static_cast<int>(engine));
     obs::Progress& progress = obs::Progress::global();
     progress.reset();

@@ -1,20 +1,23 @@
-// Cross-engine equivalence: the work-stealing engine joins the contract the
-// level-synchronous engine already honors — on complete explorations every
-// engine, at every thread count, under every reduction mode, produces the
-// ConfigGraph bit-identical to the serial reference. Interruption differs
-// by design: work-stealing has no level barriers, so max_levels acts as an
-// expansion-depth bound and an interrupted/bounded run is trimmed back to
-// the deepest fully-expanded level — which must again be the exact serial
-// prefix, and resumable by any engine.
+// Cross-engine equivalence: on complete explorations every engine, at every
+// thread count, under every reduction mode, produces the ConfigGraph
+// bit-identical to the serial reference. The work-stealing engine has no
+// level barriers, yet max_levels and periodic checkpoints pause it at exact
+// level boundaries: a bounded run is again the exact serial prefix, its
+// checkpoint files are byte-identical to the serial engine's, and every
+// engine resumes every other engine's file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
+#include "obs/heartbeat.h"
 #include "sim/symmetry.h"
 
 namespace lbsa::modelcheck {
@@ -84,23 +87,19 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
       cached.canon_cache_bytes = ExploreOptions{}.canon_cache_bytes;
       cached.canon_cache_pool = fresh_pool();
       expect_identical(serial, explore_or_die(task, cached));
-      for (ExploreEngine engine :
-           {ExploreEngine::kParallel, ExploreEngine::kWorkStealing}) {
-        for (int threads : {1, 2, 8}) {
-          for (bool use_cache : kCacheModes) {
-            SCOPED_TRACE(std::string(engine_name(engine)) + " t" +
-                         std::to_string(threads) +
-                         (use_cache ? " cache" : " nocache"));
-            ExploreOptions opts;
-            opts.reduction = reduction;
-            opts.engine = engine;
-            opts.threads = threads;
-            if (use_cache) opts.canon_cache_pool = fresh_pool();
-            const ConfigGraph graph = explore_or_die(task, opts);
-            EXPECT_EQ(graph.engine_used(), engine);
-            EXPECT_FALSE(graph.auto_switched());
-            expect_identical(serial, graph);
-          }
+      for (int threads : {1, 2, 8}) {
+        for (bool use_cache : kCacheModes) {
+          SCOPED_TRACE(std::string("workstealing t") +
+                       std::to_string(threads) +
+                       (use_cache ? " cache" : " nocache"));
+          ExploreOptions opts;
+          opts.reduction = reduction;
+          opts.engine = ExploreEngine::kWorkStealing;
+          opts.threads = threads;
+          if (use_cache) opts.canon_cache_pool = fresh_pool();
+          const ConfigGraph graph = explore_or_die(task, opts);
+          EXPECT_EQ(graph.engine_used(), ExploreEngine::kWorkStealing);
+          expect_identical(serial, graph);
         }
       }
     }
@@ -110,7 +109,7 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
 TEST(EngineEquivalence, SharedWarmCachePoolKeepsGraphsIdentical) {
   // The hierarchy-sweep pattern: one pool reused across runs, so later
   // runs answer mostly from a warm cache — and must still reproduce the
-  // uncached reference exactly, serial and parallel alike.
+  // uncached reference exactly, serial and work-stealing alike.
   const NamedTask task = get_task("dac4-sym");
   ExploreOptions base;
   base.reduction = Reduction::kSymmetry;
@@ -122,7 +121,8 @@ TEST(EngineEquivalence, SharedWarmCachePoolKeepsGraphsIdentical) {
     SCOPED_TRACE(run);
     ExploreOptions opts;
     opts.reduction = Reduction::kSymmetry;
-    opts.engine = run == 2 ? ExploreEngine::kParallel : ExploreEngine::kSerial;
+    opts.engine =
+        run == 2 ? ExploreEngine::kWorkStealing : ExploreEngine::kSerial;
     opts.threads = run == 2 ? 4 : 1;
     opts.canon_cache_pool = pool;
     expect_identical(reference, explore_or_die(task, opts));
@@ -161,9 +161,10 @@ TEST(EngineEquivalence, WorkStealingMaxLevelsTrimsToSerialPrefix) {
 }
 
 TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
-  // serial (2 levels) -> work-stealing (2 more) -> parallel (to completion):
-  // every hop checkpoints, every hop resumes the previous engine's file, and
-  // the final graph is bit-identical to one uninterrupted serial run.
+  // serial (2 levels) -> work-stealing (2 more) -> auto at 4 threads (to
+  // completion): every hop checkpoints, every hop resumes the previous
+  // engine's file, and the final graph is bit-identical to one
+  // uninterrupted serial run.
   const NamedTask task = get_task("dac4-sym");
   for (Reduction reduction : {Reduction::kNone, Reduction::kBoth}) {
     SCOPED_TRACE(reduction_name(reduction));
@@ -202,39 +203,157 @@ TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
 
     ExploreOptions hop3;
     hop3.reduction = reduction;
-    hop3.engine = ExploreEngine::kParallel;
+    hop3.engine = ExploreEngine::kAuto;
     hop3.threads = 4;
     hop3.resume = &cp2.value();
     const ConfigGraph final_graph = explore_or_die(task, hop3);
+    EXPECT_EQ(final_graph.engine_used(), ExploreEngine::kWorkStealing);
     EXPECT_FALSE(final_graph.interrupted());
     expect_identical(uninterrupted, final_graph);
   }
 }
 
-TEST(EngineEquivalence, WorkStealingRejectsPeriodicCheckpoints) {
-  const NamedTask task = get_task("dac3-sym");
-  Explorer explorer(task.protocol);
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(EngineEquivalence, WorkStealingPeriodicCheckpointMatchesSerial) {
+  // Periodic checkpoints pause work stealing at exact level boundaries: the
+  // last checkpoint a complete run leaves behind is byte-identical to the
+  // serial engine's under the same options, and resumes to the
+  // uninterrupted graph.
+  for (const char* name : {"dac3-sym", "dac5"}) {
+    SCOPED_TRACE(name);
+    const NamedTask task = get_task(name);
+    ExploreOptions base;
+    base.engine = ExploreEngine::kSerial;
+    const ConfigGraph uninterrupted = explore_or_die(task, base);
+
+    const std::string serial_path = testing::TempDir() + "/periodic-s.ckpt";
+    ExploreOptions serial_opts = base;
+    serial_opts.checkpoint_path = serial_path;
+    serial_opts.checkpoint_every_levels = 2;
+    serial_opts.checkpoint_label = task.name;
+    expect_identical(uninterrupted, explore_or_die(task, serial_opts));
+    const std::string serial_bytes = slurp(serial_path);
+    ASSERT_FALSE(serial_bytes.empty());
+
+    const std::string ws_path = testing::TempDir() + "/periodic-ws.ckpt";
+    ExploreOptions ws_opts = serial_opts;
+    ws_opts.engine = ExploreEngine::kWorkStealing;
+    ws_opts.threads = 4;
+    ws_opts.checkpoint_path = ws_path;
+    expect_identical(uninterrupted, explore_or_die(task, ws_opts));
+    EXPECT_TRUE(slurp(ws_path) == serial_bytes)
+        << "work-stealing checkpoint differs from the serial engine's";
+
+    auto cp = read_explore_checkpoint(ws_path);
+    ASSERT_TRUE(cp.is_ok()) << cp.status().to_string();
+    EXPECT_GT(cp.value().levels_completed, 0u);
+    EXPECT_EQ(cp.value().levels_completed % 2, 0u);
+    ExploreOptions res;
+    res.engine = ExploreEngine::kWorkStealing;
+    res.threads = 4;
+    res.resume = &cp.value();
+    expect_identical(uninterrupted, explore_or_die(task, res));
+  }
+}
+
+TEST(EngineEquivalence, WorkStealingMaxLevelsIsExactAndDeterministic) {
+  // max_levels pauses work stealing at exactly the requested boundary: at
+  // every worker count and on every repetition the result is the serial
+  // engine's graph interrupted there, never a shallower trim.
+  const NamedTask task = get_task("dac5");
+  for (std::uint32_t levels : {6u, 8u, 12u, 14u}) {
+    SCOPED_TRACE(levels);
+    ExploreOptions serial_opts;
+    serial_opts.engine = ExploreEngine::kSerial;
+    serial_opts.max_levels = levels;
+    const ConfigGraph serial = explore_or_die(task, serial_opts);
+    ASSERT_TRUE(serial.interrupted());
+    ASSERT_EQ(serial.levels_completed(), levels);
+    for (int threads : {2, 4, 8}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE("t" + std::to_string(threads) + " rep " +
+                     std::to_string(rep));
+        ExploreOptions opts;
+        opts.engine = ExploreEngine::kWorkStealing;
+        opts.threads = threads;
+        opts.max_levels = levels;
+        const ConfigGraph ws = explore_or_die(task, opts);
+        EXPECT_EQ(ws.levels_completed(), levels);
+        expect_identical(serial, ws);
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, AutoRunsWorkStealingAboveOneThread) {
+  const NamedTask task = get_task("dac5");
+  ExploreOptions serial_opts;
+  serial_opts.engine = ExploreEngine::kSerial;
+  const ConfigGraph serial = explore_or_die(task, serial_opts);
   ExploreOptions opts;
-  opts.engine = ExploreEngine::kWorkStealing;
-  opts.checkpoint_path = testing::TempDir() + "/never.ckpt";
-  opts.checkpoint_every_levels = 2;
-  const auto graph = explorer.explore(opts);
-  ASSERT_FALSE(graph.is_ok());
-  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  opts.engine = ExploreEngine::kAuto;
+  opts.threads = 4;
+  const ConfigGraph graph = explore_or_die(task, opts);
+  EXPECT_EQ(graph.engine_used(), ExploreEngine::kWorkStealing);
+  expect_identical(serial, graph);
+  opts.threads = 1;
+  EXPECT_EQ(explore_or_die(task, opts).engine_used(), ExploreEngine::kSerial);
+}
+
+TEST(EngineEquivalence, RejectsThreadsOutOfRange) {
+  // Every worker is an OS thread, so an unbounded count is a resource
+  // hazard: explore() refuses it before any engine (and so any worker)
+  // starts. Engines announce their pool to the live Progress on start;
+  // with heartbeats on, an untouched pool size proves none did.
+  const NamedTask task = get_task("dac3");
+  Explorer explorer(task.protocol);
+  obs::Progress::global().reset();
+  obs::set_heartbeat_enabled(true);
+  for (int threads : {-1, kMaxExploreThreads + 1,
+                      std::numeric_limits<int>::max()}) {
+    for (ExploreEngine engine :
+         {ExploreEngine::kAuto, ExploreEngine::kWorkStealing}) {
+      SCOPED_TRACE(std::to_string(threads) + " " + engine_name(engine));
+      ExploreOptions opts;
+      opts.engine = engine;
+      opts.threads = threads;
+      const auto graph = explorer.explore(opts);
+      ASSERT_FALSE(graph.is_ok());
+      EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(graph.status().message().find("threads"), std::string::npos)
+          << graph.status().to_string();
+      EXPECT_EQ(obs::Progress::global().worker_count(), 0);
+    }
+  }
+  obs::set_heartbeat_enabled(false);
+  ExploreOptions edge;
+  edge.engine = ExploreEngine::kWorkStealing;
+  edge.threads = 2;
+  EXPECT_TRUE(explorer.explore(edge).is_ok());
 }
 
 TEST(EngineEquivalence, ParseAndNames) {
   EXPECT_STREQ(engine_name(ExploreEngine::kAuto), "auto");
   EXPECT_STREQ(engine_name(ExploreEngine::kSerial), "serial");
-  EXPECT_STREQ(engine_name(ExploreEngine::kParallel), "parallel");
   EXPECT_STREQ(engine_name(ExploreEngine::kWorkStealing), "workstealing");
-  for (const char* name : {"auto", "serial", "parallel", "workstealing"}) {
+  for (const char* name : {"auto", "serial", "workstealing"}) {
     const auto parsed = parse_engine(name);
     ASSERT_TRUE(parsed.is_ok()) << name;
     EXPECT_STREQ(engine_name(parsed.value()), name);
   }
   EXPECT_EQ(parse_engine("stealing").status().code(),
             StatusCode::kInvalidArgument);
+  const auto removed = parse_engine("parallel");
+  ASSERT_FALSE(removed.is_ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(removed.status().message().find("known: auto, serial, "
+                                            "workstealing"),
+            std::string::npos)
+      << removed.status().to_string();
 }
 
 TEST(EngineEquivalence, WorkStealingTruncatedGraphIsConsistent) {

@@ -1,4 +1,4 @@
-// Serial-vs-parallel equivalence: the parallel engine must produce a
+// Serial-vs-parallel equivalence: the work-stealing engine must produce a
 // canonical ConfigGraph that is bit-identical to the serial reference —
 // same node ids, configurations, flags, depths, edge lists, parents (via
 // path_to) and transition counts — for every thread count. This is the
@@ -50,7 +50,8 @@ void expect_all_thread_counts_match(
   ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
   for (int threads : {1, 2, 8}) {
     const auto parallel = explorer.explore(
-        {.threads = threads, .engine = ExploreEngine::kParallel}, flag_fn);
+        {.threads = threads, .engine = ExploreEngine::kWorkStealing},
+        flag_fn);
     ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
     expect_identical(serial.value(), parallel.value(),
                      ("threads=" + std::to_string(threads)).c_str());
@@ -109,8 +110,9 @@ TEST(ParallelExplorer, NodeBudgetErrorWithoutTruncation) {
   auto protocol =
       std::make_shared<DacFromPacProtocol>(std::vector<Value>{10, 20, 30});
   Explorer explorer(protocol);
-  const auto graph = explorer.explore(
-      {.max_nodes = 5, .threads = 4, .engine = ExploreEngine::kParallel});
+  const auto graph = explorer.explore({.max_nodes = 5,
+                                       .threads = 4,
+                                       .engine = ExploreEngine::kWorkStealing});
   ASSERT_FALSE(graph.is_ok());
   EXPECT_EQ(graph.status().code(), StatusCode::kResourceExhausted);
 }
@@ -125,10 +127,11 @@ TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
   Explorer explorer(protocol);
   for (int threads : {2, 8}) {
     SCOPED_TRACE(threads);
-    const auto partial_or = explorer.explore({.max_nodes = 50,
-                                              .allow_truncation = true,
-                                              .threads = threads,
-                                              .engine = ExploreEngine::kParallel});
+    const auto partial_or =
+        explorer.explore({.max_nodes = 50,
+                          .allow_truncation = true,
+                          .threads = threads,
+                          .engine = ExploreEngine::kWorkStealing});
     ASSERT_TRUE(partial_or.is_ok());
     const ConfigGraph& graph = partial_or.value();
     EXPECT_TRUE(graph.truncated());

@@ -88,7 +88,7 @@ TEST(Reduction, ReducedGraphsBitIdenticalAcrossEnginesAndThreads) {
       for (int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         const ConfigGraph parallel = explore_or_die(
-            task, reduction, ExploreEngine::kParallel, threads);
+            task, reduction, ExploreEngine::kWorkStealing, threads);
         expect_identical(serial, parallel);
       }
     }
@@ -170,7 +170,7 @@ StatusOr<TaskReport> run_check(const NamedTask& task, Reduction reduction,
   options.explore.max_nodes = 60'000;  // skip tasks beyond this budget
   options.explore.threads = threads;
   options.explore.engine =
-      threads > 1 ? ExploreEngine::kParallel : ExploreEngine::kSerial;
+      threads > 1 ? ExploreEngine::kWorkStealing : ExploreEngine::kSerial;
   options.explore.reduction = reduction;
   if (task.distinguished_pid >= 0) {
     return check_dac_task(task.protocol, task.distinguished_pid, task.inputs,

@@ -400,7 +400,7 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
   std::set<std::string> baseline_keys;
   std::size_t baseline_lines = 0;
   for (const auto engine : {modelcheck::ExploreEngine::kSerial,
-                            modelcheck::ExploreEngine::kParallel,
+                            modelcheck::ExploreEngine::kAuto,
                             modelcheck::ExploreEngine::kWorkStealing}) {
     for (int threads : {1, 2, 8}) {
       const std::string path = temp_path("hb_engines.jsonl");

@@ -16,7 +16,7 @@ RunReport sample_report() {
   RunReport report;
   report.tool = "unit_test";
   report.task = "dac3";
-  report.params = {{"threads", "8"}, {"engine", "\"parallel\""}};
+  report.params = {{"threads", "8"}, {"engine", "\"workstealing\""}};
   report.wall_seconds = 0.125;
   set_metrics_enabled(true);
   Registry registry;

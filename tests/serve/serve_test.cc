@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "modelcheck/explorer.h"
 #include "obs/heartbeat.h"
 #include "obs/json.h"
 #include "obs/report.h"
@@ -85,7 +86,7 @@ TEST(Protocol, ParsesFullRequestAndAppliesDefaults) {
   auto parsed = parse_request(
       R"({"serve_version":1,"op":"explore","id":"r1","task":"dac4-sym",)"
       R"("deadline_ms":5000,"heartbeat_ms":100,"threads":4,)"
-      R"("engine":"parallel","reduction":"symmetry","max_nodes":100000,)"
+      R"("engine":"workstealing","reduction":"symmetry","max_nodes":100000,)"
       R"("max_levels":3,"allow_truncation":true})");
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   const ServeRequest& r = parsed.value();
@@ -95,7 +96,7 @@ TEST(Protocol, ParsesFullRequestAndAppliesDefaults) {
   EXPECT_EQ(r.deadline_ms, 5000u);
   EXPECT_EQ(r.heartbeat_ms, 100u);
   EXPECT_EQ(r.threads, 4);
-  EXPECT_EQ(r.engine, "parallel");
+  EXPECT_EQ(r.engine, "workstealing");
   EXPECT_EQ(r.reduction, "symmetry");
   EXPECT_EQ(r.max_nodes, 100000u);
   EXPECT_EQ(r.max_levels, 3u);
@@ -169,6 +170,35 @@ TEST(Protocol, RejectsMaxViolationsBelowOne) {
                              R"("max_violations":1})");
     ASSERT_TRUE(one.is_ok()) << one.status().to_string();
     EXPECT_EQ(one.value().max_violations, 1);
+  }
+}
+
+TEST(Protocol, RejectsThreadsOutOfRange) {
+  // Each explore worker is an OS thread; an unbounded count used to reach
+  // the explorer (negative meant "all cores"). The range is the explorer's.
+  const std::string max = std::to_string(modelcheck::kMaxExploreThreads);
+  const std::string over = std::to_string(modelcheck::kMaxExploreThreads + 1);
+  for (const char* op : {"check", "explore"}) {
+    for (const std::string& threads :
+         {std::string("-1"), over, std::string("2147483647"),
+          std::string("4294967297")}) {
+      const std::string line = std::string(R"({"serve_version":1,"op":")") +
+                               op + R"(","id":"x","task":"dac3",)" +
+                               R"("threads":)" + threads + "}";
+      SCOPED_TRACE(line);
+      auto parsed = parse_request(line);
+      ASSERT_FALSE(parsed.is_ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find("threads"), std::string::npos)
+          << parsed.status().message();
+    }
+    for (const std::string& threads : {std::string("0"), max}) {
+      auto parsed = parse_request(std::string(R"({"serve_version":1,"op":")") +
+                                  op + R"(","id":"x","task":"dac3",)" +
+                                  R"("threads":)" + threads + "}");
+      ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+      EXPECT_EQ(std::to_string(parsed.value().threads), threads);
+    }
   }
 }
 

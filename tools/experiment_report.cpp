@@ -515,7 +515,7 @@ void e10_meta() {
                 analyzer.critical_nodes().size(), steps.c_str());
   }
   {
-    // The exploration engine itself is under test here: the parallel
+    // The exploration engine itself is under test here: the work-stealing
     // explorer must reproduce the serial reference graph bit for bit
     // (canonical ids, edges, depths, parents) — this is what makes every
     // number in this report independent of the machine's core count.
@@ -525,7 +525,8 @@ void e10_meta() {
     const auto serial = explorer.explore(
         {.engine = lbsa::modelcheck::ExploreEngine::kSerial});
     const auto parallel = explorer.explore(
-        {.threads = 4, .engine = lbsa::modelcheck::ExploreEngine::kParallel});
+        {.threads = 4,
+         .engine = lbsa::modelcheck::ExploreEngine::kWorkStealing});
     bool identical = serial.is_ok() && parallel.is_ok();
     if (identical) {
       const auto& a = serial.value();

@@ -4,7 +4,10 @@
 #
 #   1. explorer: deterministic interrupt (--max-levels) with a checkpoint,
 #      exit 4, then --resume to a final graph identical to an uninterrupted
-#      run — serial and parallel, with and without reduction.
+#      run — serial and work-stealing, with and without reduction; and
+#      periodic checkpoints (--checkpoint-every): the work-stealing engine's
+#      last checkpoint is byte-identical to the serial engine's and resumes
+#      to the uninterrupted graph.
 #   2. fuzzer: coverage campaign interrupted at a run boundary
 #      (--stop-after-runs), exit 4, then --resume to a byte-identical
 #      final report.
@@ -44,7 +47,7 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 shape() { sed -n '1p' "$1"; }
 
 echo "== explorer interrupt/resume =="
-for engine_args in "--engine serial" "--engine parallel --threads 4"; do
+for engine_args in "--engine serial" "--engine workstealing --threads 4"; do
   for red in none both; do
     # shellcheck disable=SC2086  # engine_args is intentionally word-split
     "$EXPLORER" dac4-sym $engine_args --reduction "$red" \
@@ -92,6 +95,26 @@ for engine_args in "--engine serial" "--engine parallel --threads 4"; do
 done
 echo "ok: resumed graphs identical (2 engines x 2 reductions);" \
      "exit-4 artifacts + heartbeat splices all validate"
+
+echo "== explorer periodic checkpoints =="
+"$EXPLORER" dac5 > "$TMP/pbase.txt" || fail "baseline dac5 run failed"
+for engine_args in "--engine serial" "--engine workstealing --threads 4"; do
+  tag="${engine_args//[^a-z0-9]/}"
+  # shellcheck disable=SC2086
+  "$EXPLORER" dac5 $engine_args --checkpoint "$TMP/p-$tag.ckpt" \
+      --checkpoint-every 2 > "$TMP/p-$tag.txt" \
+      || fail "periodic-checkpoint run failed ($engine_args)"
+  [[ "$(shape "$TMP/pbase.txt")" == "$(shape "$TMP/p-$tag.txt")" ]] \
+      || fail "periodic-checkpoint run changed the graph ($engine_args)"
+done
+cmp "$TMP/p-engineserial.ckpt" "$TMP/p-engineworkstealingthreads4.ckpt" \
+    || fail "work-stealing periodic checkpoint differs from serial's"
+"$EXPLORER" dac5 --engine workstealing --threads 4 \
+    --resume "$TMP/p-engineworkstealingthreads4.ckpt" > "$TMP/pres.txt" \
+    || fail "resume from a periodic checkpoint failed"
+[[ "$(shape "$TMP/pbase.txt")" == "$(shape "$TMP/pres.txt")" ]] \
+    || fail "graph resumed from a periodic checkpoint differs"
+echo "ok: periodic checkpoints byte-identical across engines and resumable"
 
 echo "== fuzzer interrupt/resume =="
 FUZZ_ARGS=(dac3 --coverage --runs 300 --seed 9)

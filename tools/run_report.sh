@@ -74,7 +74,7 @@ REDUCTIONS=(none symmetry por both)
 # setup, on the engines x reductions the speedup claims are made for.
 PERF_TASKS=(dac5 consensus5)
 PERF_REDUCTIONS=(none symmetry)
-PERF_ENGINES=("serial 1" "parallel 4" "workstealing 4" "auto 4")
+PERF_ENGINES=("serial 1" "workstealing 4" "auto 4")
 THREADS_AVAILABLE="$(nproc 2>/dev/null || echo 1)"
 
 TMP="$(mktemp -d)"

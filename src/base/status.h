@@ -47,6 +47,14 @@ class Status {
   std::string message_;
 };
 
+// Returns the Status of `expr` from the enclosing function (which returns
+// Status or StatusOr) unless it is OK.
+#define LBSA_RETURN_IF_ERROR(expr)                                   \
+  do {                                                               \
+    if (::lbsa::Status lbsa_status_ = (expr); !lbsa_status_.is_ok()) \
+      return lbsa_status_;                                           \
+  } while (false)
+
 Status invalid_argument(std::string message);
 Status failed_precondition(std::string message);
 Status out_of_range(std::string message);

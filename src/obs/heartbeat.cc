@@ -1,5 +1,6 @@
 #include "obs/heartbeat.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -11,6 +12,7 @@
 #include "base/hashing.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/schema.h"
 
 namespace lbsa::obs {
 
@@ -167,8 +169,12 @@ Status HeartbeatSampler::open() {
       const std::string existing = buffer.str();
       const std::string_view tail = last_line(existing);
       if (!tail.empty()) {
+        constexpr FieldSpec kResumeFields[] = {
+            {.name = "run_id"}, {.name = "seq", .kind = FieldKind::kUint}};
         auto parsed = parse_json(tail);
-        if (!parsed.is_ok() || !parsed.value().is_object()) {
+        if (!parsed.is_ok() ||
+            !check_fields(parsed.value(), kResumeFields, SchemaPath("resume"))
+                 .is_ok()) {
           return failed_precondition(
               "heartbeat: '" + options_.path +
               "' exists but its last line is not a heartbeat (refusing to "
@@ -176,19 +182,13 @@ Status HeartbeatSampler::open() {
         }
         const JsonValue* run_id = parsed.value().find("run_id");
         const JsonValue* seq = parsed.value().find("seq");
-        if (run_id == nullptr || !run_id->is_string() || seq == nullptr ||
-            !seq->is_number() || !seq->number_is_integer) {
-          return failed_precondition(
-              "heartbeat: '" + options_.path +
-              "' last line lacks run_id/seq (not a heartbeat stream)");
-        }
         if (run_id->string_value != options_.run_id) {
           return failed_precondition(
               "heartbeat: '" + options_.path + "' belongs to run " +
               run_id->string_value + ", not " + options_.run_id +
               " (a stream is appendable only by the same resumed run)");
         }
-        next_seq_ = static_cast<std::uint64_t>(seq->int_value) + 1;
+        next_seq_ = seq->uint_value + 1;
       }
     }
   }
@@ -413,157 +413,150 @@ Status HeartbeatSampler::stop() {
 
 namespace {
 
-Status heartbeat_error(std::size_t line_no, const std::string& what) {
-  return invalid_argument("heartbeat stream: line " +
-                          std::to_string(line_no) + ": " + what);
-}
+using K = FieldKind;
 
-const JsonValue* require_int(const JsonValue& obj, const char* field) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || !v->is_number() || !v->number_is_integer) return nullptr;
-  return v;
+constexpr FieldSpec kHeartbeatFields[] = {
+    {.name = "heartbeat_version", .kind = K::kInt,
+     .min = kHeartbeatSchemaVersion, .max = kHeartbeatSchemaVersion},
+    {.name = "run_id", .kind = K::kNonEmptyString},
+    {.name = "tool"},
+    {.name = "task"},
+    {.name = "seq", .kind = K::kUint},
+    {.name = "uptime_ms", .kind = K::kUint},
+    {.name = "interval_ms", .kind = K::kUint},
+    {.name = "nodes_total", .kind = K::kUint},
+    {.name = "transitions_total", .kind = K::kUint},
+    {.name = "levels_completed", .kind = K::kUint},
+    {.name = "frontier_size", .kind = K::kUint},
+    {.name = "checkpoint_writes", .kind = K::kUint},
+    {.name = "nodes_per_sec", .kind = K::kNumber},
+    {.name = "eta_s", .kind = K::kNumberOrNull},
+    {.name = "workers", .kind = K::kArray},
+    {.name = "metrics", .kind = K::kObject},
+    {.name = "final", .kind = K::kBool},
+};
+
+constexpr FieldSpec kWorkerFields[] = {
+    {.name = "busy", .kind = K::kUint},
+    {.name = "expanded", .kind = K::kUint},
+    {.name = "steals", .kind = K::kUint},
+    {.name = "cas_retries", .kind = K::kUint},
+};
+
+constexpr FieldSpec kSummaryFields[] = {
+    {.name = "heartbeat_summary_version", .kind = K::kInt,
+     .min = kHeartbeatSummarySchemaVersion,
+     .max = kHeartbeatSummarySchemaVersion},
+    {.name = "run_id", .kind = K::kNonEmptyString},
+    {.name = "tool"},
+    {.name = "task"},
+    {.name = "ticks", .kind = K::kInt, .min = 1},
+    {.name = "first_seq", .kind = K::kUint},
+    {.name = "last_seq", .kind = K::kUint},
+    {.name = "nodes_total", .kind = K::kUint},
+    {.name = "transitions_total", .kind = K::kUint},
+    {.name = "levels_completed", .kind = K::kUint},
+    {.name = "max_nodes_per_sec", .kind = K::kNumber},
+    {.name = "final_seen", .kind = K::kBool},
+};
+
+std::string line_schema(std::uint64_t line_no) {
+  return "heartbeat stream: line " + std::to_string(line_no);
 }
 
 }  // namespace
 
-Status validate_heartbeat_stream(std::string_view text) {
-  bool first = true;
-  std::string run_id;
-  std::string tool;
-  std::string task;
-  std::uint64_t prev_seq = 0;
-  std::uint64_t prev_nodes = 0;
-  std::uint64_t prev_transitions = 0;
-  std::size_t line_no = 0;
-  std::size_t count = 0;
+Status HeartbeatStreamChecker::feed(const JsonValue& line) {
+  Digest& d = digest_;
+  const std::string schema = line_schema(d.ticks + 1);
+  const SchemaPath path(schema);
+  LBSA_RETURN_IF_ERROR(check_fields(line, kHeartbeatFields, path));
+  LBSA_RETURN_IF_ERROR(check_array_of(*line.find("workers"), K::kObject,
+                                      path.field("workers"), kWorkerFields));
+  const std::string& run_id = line.find("run_id")->string_value;
+  const std::string& tool = line.find("tool")->string_value;
+  const std::string& task = line.find("task")->string_value;
+  const std::uint64_t seq = line.find("seq")->uint_value;
+  const std::uint64_t nodes = line.find("nodes_total")->uint_value;
+  const std::uint64_t transitions =
+      line.find("transitions_total")->uint_value;
+  if (d.ticks == 0) {
+    d.run_id = run_id;
+    d.tool = tool;
+    d.task = task;
+    d.first_seq = seq;
+  } else {
+    if (run_id != d.run_id) return path.error("run_id", "changed mid-stream");
+    if (tool != d.tool) return path.error("tool", "changed mid-stream");
+    if (task != d.task) return path.error("task", "changed mid-stream");
+    if (seq != d.last_seq + 1) {
+      return path.error("seq", std::to_string(seq) +
+                                   " out of order (expected " +
+                                   std::to_string(d.last_seq + 1) + ")");
+    }
+    if (nodes < d.nodes_total || transitions < d.transitions_total) {
+      return path.error(nodes < d.nodes_total ? "nodes_total"
+                                              : "transitions_total",
+                        "decreased (cumulative counters must be "
+                        "non-decreasing)");
+    }
+  }
+  ++d.ticks;
+  d.last_seq = seq;
+  d.nodes_total = nodes;
+  d.transitions_total = transitions;
+  d.levels_completed = line.find("levels_completed")->uint_value;
+  d.max_nodes_per_sec = std::max(d.max_nodes_per_sec,
+                                 line.find("nodes_per_sec")->number_value);
+  d.final_seen = d.final_seen || line.find("final")->bool_value;
+  return Status::ok();
+}
 
+std::string HeartbeatStreamChecker::summary_json() const {
+  const Digest& d = digest_;
+  JsonWriter w;
+  w.begin_object();
+  w.key("heartbeat_summary_version");
+  w.value_int(kHeartbeatSummarySchemaVersion);
+  for (const auto& [key, value] :
+       {std::pair{"run_id", &d.run_id}, {"tool", &d.tool}, {"task", &d.task}}) {
+    w.key(key);
+    w.value_string(*value);
+  }
+  for (const auto& [key, value] :
+       {std::pair{"ticks", d.ticks}, {"first_seq", d.first_seq},
+        {"last_seq", d.last_seq}, {"nodes_total", d.nodes_total},
+        {"transitions_total", d.transitions_total},
+        {"levels_completed", d.levels_completed}}) {
+    w.key(key);
+    w.value_uint(value);
+  }
+  w.key("max_nodes_per_sec");
+  w.value_double(d.max_nodes_per_sec);
+  w.key("final_seen");
+  w.value_bool(d.final_seen);
+  w.end_object();
+  return std::move(w).str();
+}
+
+Status validate_heartbeat_stream(std::string_view text) {
+  HeartbeatStreamChecker checker;
   std::size_t pos = 0;
-  while (pos <= text.size()) {
+  while (pos < text.size()) {
     std::size_t nl = text.find('\n', pos);
     if (nl == std::string_view::npos) nl = text.size();
     const std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
-    ++line_no;
-    if (line.empty() ||
-        line.find_first_not_of(" \t\r") == std::string_view::npos) {
-      if (pos > text.size()) break;
-      continue;
-    }
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     auto parsed = parse_json(line);
     if (!parsed.is_ok()) {
-      return heartbeat_error(line_no,
-                             "not strict JSON: " + parsed.status().message());
+      return invalid_argument(line_schema(checker.digest().ticks + 1) +
+                              ": not strict JSON: " +
+                              parsed.status().message());
     }
-    const JsonValue& root = parsed.value();
-    if (!root.is_object()) return heartbeat_error(line_no, "not an object");
-
-    const JsonValue* version = require_int(root, "heartbeat_version");
-    if (version == nullptr ||
-        version->int_value != kHeartbeatSchemaVersion) {
-      return heartbeat_error(line_no, "heartbeat_version != 1");
-    }
-    for (const char* field : {"run_id", "tool", "task"}) {
-      const JsonValue* v = root.find(field);
-      if (v == nullptr || !v->is_string()) {
-        return heartbeat_error(line_no,
-                               std::string(field) + " missing or not a string");
-      }
-    }
-    if (root.find("run_id")->string_value.empty()) {
-      return heartbeat_error(line_no, "run_id empty");
-    }
-    const JsonValue* seq = require_int(root, "seq");
-    if (seq == nullptr || seq->int_value < 0) {
-      return heartbeat_error(line_no, "seq missing or not a non-negative "
-                                      "integer");
-    }
-    for (const char* field :
-         {"uptime_ms", "interval_ms", "nodes_total", "transitions_total",
-          "levels_completed", "frontier_size", "checkpoint_writes"}) {
-      if (require_int(root, field) == nullptr) {
-        return heartbeat_error(
-            line_no, std::string(field) + " missing or not an integer");
-      }
-    }
-    if (const JsonValue* rate = root.find("nodes_per_sec");
-        rate == nullptr || !rate->is_number()) {
-      return heartbeat_error(line_no, "nodes_per_sec missing or not a number");
-    }
-    if (const JsonValue* eta = root.find("eta_s");
-        eta == nullptr ||
-        (eta->kind != JsonValue::Kind::kNull && !eta->is_number())) {
-      return heartbeat_error(line_no, "eta_s missing or not number/null");
-    }
-    const JsonValue* workers = root.find("workers");
-    if (workers == nullptr || !workers->is_array()) {
-      return heartbeat_error(line_no, "workers missing or not an array");
-    }
-    for (const JsonValue& slot : workers->array) {
-      if (!slot.is_object()) {
-        return heartbeat_error(line_no, "workers element not an object");
-      }
-      for (const char* field : {"busy", "expanded", "steals", "cas_retries"}) {
-        if (require_int(slot, field) == nullptr) {
-          return heartbeat_error(line_no, std::string("workers.") + field +
-                                              " missing or not an integer");
-        }
-      }
-    }
-    const JsonValue* metrics = root.find("metrics");
-    if (metrics == nullptr || !metrics->is_object()) {
-      return heartbeat_error(line_no, "metrics missing or not an object");
-    }
-    const JsonValue* final_flag = root.find("final");
-    if (final_flag == nullptr ||
-        final_flag->kind != JsonValue::Kind::kBool) {
-      return heartbeat_error(line_no, "final missing or not a bool");
-    }
-
-    const std::uint64_t this_seq =
-        static_cast<std::uint64_t>(seq->int_value);
-    const std::uint64_t nodes =
-        static_cast<std::uint64_t>(root.find("nodes_total")->int_value);
-    const std::uint64_t transitions =
-        static_cast<std::uint64_t>(root.find("transitions_total")->int_value);
-    if (first) {
-      run_id = root.find("run_id")->string_value;
-      tool = root.find("tool")->string_value;
-      task = root.find("task")->string_value;
-      first = false;
-    } else {
-      if (root.find("run_id")->string_value != run_id) {
-        return heartbeat_error(line_no, "run_id changed mid-stream");
-      }
-      if (root.find("tool")->string_value != tool) {
-        return heartbeat_error(line_no, "tool changed mid-stream");
-      }
-      if (root.find("task")->string_value != task) {
-        return heartbeat_error(line_no, "task changed mid-stream");
-      }
-      if (this_seq != prev_seq + 1) {
-        return heartbeat_error(
-            line_no, "seq " + std::to_string(this_seq) +
-                         " out of order (expected " +
-                         std::to_string(prev_seq + 1) + ")");
-      }
-      if (nodes < prev_nodes) {
-        return heartbeat_error(line_no,
-                               "nodes_total decreased (cumulative counters "
-                               "must be non-decreasing)");
-      }
-      if (transitions < prev_transitions) {
-        return heartbeat_error(line_no,
-                               "transitions_total decreased (cumulative "
-                               "counters must be non-decreasing)");
-      }
-    }
-    prev_seq = this_seq;
-    prev_nodes = nodes;
-    prev_transitions = transitions;
-    ++count;
-    if (pos > text.size()) break;
+    LBSA_RETURN_IF_ERROR(checker.feed(parsed.value()));
   }
-  if (count == 0) {
+  if (checker.digest().ticks == 0) {
     return invalid_argument("heartbeat stream: no heartbeat lines");
   }
   return Status::ok();
@@ -573,49 +566,10 @@ Status validate_heartbeat_summary_json(std::string_view json) {
   auto parsed = parse_json(json);
   if (!parsed.is_ok()) return parsed.status();
   const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return invalid_argument("heartbeat summary: document not an object");
-  }
-  const JsonValue* version = require_int(root, "heartbeat_summary_version");
-  if (version == nullptr ||
-      version->int_value != kHeartbeatSummarySchemaVersion) {
-    return invalid_argument("heartbeat summary: heartbeat_summary_version "
-                            "!= 1");
-  }
-  const JsonValue* run_id = root.find("run_id");
-  if (run_id == nullptr || !run_id->is_string() ||
-      run_id->string_value.empty()) {
-    return invalid_argument("heartbeat summary: run_id missing or empty");
-  }
-  for (const char* field : {"tool", "task"}) {
-    const JsonValue* v = root.find(field);
-    if (v == nullptr || !v->is_string()) {
-      return invalid_argument(std::string("heartbeat summary: ") + field +
-                              " missing or not a string");
-    }
-  }
-  for (const char* field : {"ticks", "first_seq", "last_seq", "nodes_total",
-                            "transitions_total", "levels_completed"}) {
-    if (require_int(root, field) == nullptr) {
-      return invalid_argument(std::string("heartbeat summary: ") + field +
-                              " missing or not an integer");
-    }
-  }
-  if (root.find("ticks")->int_value < 1) {
-    return invalid_argument("heartbeat summary: ticks < 1");
-  }
-  if (root.find("last_seq")->int_value < root.find("first_seq")->int_value) {
-    return invalid_argument("heartbeat summary: last_seq < first_seq");
-  }
-  if (const JsonValue* rate = root.find("max_nodes_per_sec");
-      rate == nullptr || !rate->is_number()) {
-    return invalid_argument(
-        "heartbeat summary: max_nodes_per_sec missing or not a number");
-  }
-  if (const JsonValue* final_seen = root.find("final_seen");
-      final_seen == nullptr || final_seen->kind != JsonValue::Kind::kBool) {
-    return invalid_argument(
-        "heartbeat summary: final_seen missing or not a bool");
+  const SchemaPath path("heartbeat summary");
+  LBSA_RETURN_IF_ERROR(check_fields(root, kSummaryFields, path));
+  if (root.find("last_seq")->uint_value < root.find("first_seq")->uint_value) {
+    return path.error("last_seq", "< first_seq");
   }
   return Status::ok();
 }

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "obs/json.h"
 
 namespace lbsa::obs {
 
@@ -200,13 +201,42 @@ class HeartbeatSampler {
   bool quit_ = false;
 };
 
-// Validates a heartbeat JSONL stream: every line strict JSON with the
-// required field set, heartbeat_version == 1, constant run_id/tool/task,
-// sequence numbers contiguous (+1 per line; the first line may start
-// anywhere — a tail is a valid stream), and cumulative counters
-// (nodes_total, transitions_total) non-decreasing. "final":true lines may
-// appear mid-stream: a resumed run appends after its predecessor's final
-// line.
+// Checks a heartbeat stream one parsed line at a time: each line must carry
+// the required field set with heartbeat_version == 1, and continue the
+// lines fed before it — constant run_id/tool/task, sequence numbers
+// contiguous (+1 per line; the first line may start anywhere — a tail is a
+// valid stream), and cumulative counters (nodes_total, transitions_total)
+// non-decreasing. "final":true lines may appear mid-stream: a resumed run
+// appends after its predecessor's final line. lbsa_watch feeds a live tail
+// through this; validate_heartbeat_stream feeds a whole stream.
+class HeartbeatStreamChecker {
+ public:
+  Status feed(const JsonValue& line);
+
+  // What the accepted lines add up to (meaningful once ticks > 0).
+  struct Digest {
+    std::uint64_t ticks = 0;
+    std::string run_id;
+    std::string tool;
+    std::string task;
+    std::uint64_t first_seq = 0;
+    std::uint64_t last_seq = 0;
+    std::uint64_t nodes_total = 0;
+    std::uint64_t transitions_total = 0;
+    std::uint64_t levels_completed = 0;
+    double max_nodes_per_sec = 0.0;
+    bool final_seen = false;
+  };
+  const Digest& digest() const { return digest_; }
+  // The digest as an lbsa_watch --summary-json document.
+  std::string summary_json() const;
+
+ private:
+  Digest digest_;
+};
+
+// Validates a heartbeat JSONL stream: every non-blank line strict JSON and
+// accepted by one HeartbeatStreamChecker, and at least one line.
 Status validate_heartbeat_stream(std::string_view text);
 
 // Validates an lbsa_watch --summary-json digest.

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -169,14 +170,23 @@ class Parser {
     if (!std::isfinite(out->number_value)) {
       return fail("number out of range (non-finite)");
     }
-    if (token.find('.') == std::string::npos &&
-        token.find('e') == std::string::npos &&
-        token.find('E') == std::string::npos) {
+    if (token.find_first_of(".eE") == std::string::npos) {
       errno = 0;
       const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
+      if (errno == 0 && *end == '\0') {
         out->number_is_integer = true;
         out->int_value = static_cast<std::int64_t>(v);
+        out->number_is_uint = v >= 0;
+        out->uint_value = static_cast<std::uint64_t>(v);
+      } else if (token[0] != '-') {
+        // [2^63, 2^64): a uint64 counter's upper half (strtoull would
+        // silently negate a '-' literal, hence the sign test).
+        errno = 0;
+        const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
+        if (errno == 0 && *end == '\0') {
+          out->number_is_uint = true;
+          out->uint_value = static_cast<std::uint64_t>(u);
+        }
       }
     }
     return Status::ok();
@@ -289,9 +299,24 @@ class Parser {
       if (!s.is_ok()) return s;
       out->members.emplace_back(std::move(key), std::move(value));
       skip_ws();
-      if (consume('}')) return Status::ok();
+      if (consume('}')) return check_unique_keys(*out);
       if (!consume(',')) return fail("expected ',' or '}'");
     }
+  }
+
+  // A repeated member name is ambiguous (readers disagree on which value
+  // wins), so the strict parser refuses it. Sorting the names keeps
+  // adversarial many-member objects O(n log n).
+  Status check_unique_keys(const JsonValue& object) {
+    const auto& members = object.members;
+    if (members.size() < 2) return Status::ok();
+    std::vector<std::string_view> names;
+    names.reserve(members.size());
+    for (const auto& member : members) names.emplace_back(member.first);
+    std::sort(names.begin(), names.end());
+    const auto dup = std::adjacent_find(names.begin(), names.end());
+    if (dup == names.end()) return Status::ok();
+    return fail("duplicate key \"" + std::string(*dup) + "\"");
   }
 
   std::string_view text_;

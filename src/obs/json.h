@@ -92,8 +92,9 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-// A parsed JSON value. Numbers keep both a double and (when exact) an
-// int64 view; object member order is preserved.
+// A parsed JSON value. Numbers keep a double plus, for integer literals, an
+// exact int64 view (literals in [-2^63, 2^63)) and an exact uint64 view
+// (literals in [0, 2^64)); object member order is preserved.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -101,8 +102,10 @@ class JsonValue {
   Kind kind = Kind::kNull;
   bool bool_value = false;
   double number_value = 0.0;
-  bool number_is_integer = false;
+  bool number_is_integer = false;  // int_value is exact
   std::int64_t int_value = 0;
+  bool number_is_uint = false;  // uint_value is exact
+  std::uint64_t uint_value = 0;
   std::string string_value;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> members;
@@ -116,7 +119,8 @@ class JsonValue {
   const JsonValue* find(std::string_view key) const;
 };
 
-// Strict parse of a complete JSON document (trailing garbage rejected).
+// Strict parse of a complete JSON document (trailing garbage rejected; an
+// object naming the same member twice is rejected as `duplicate key`).
 StatusOr<JsonValue> parse_json(std::string_view text);
 
 }  // namespace lbsa::obs

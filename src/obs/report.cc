@@ -1,8 +1,12 @@
 #include "obs/report.h"
 
 #include <cstdio>
+#include <iterator>
+#include <span>
+#include <vector>
 
 #include "obs/json.h"
+#include "obs/schema.h"
 
 namespace lbsa::obs {
 
@@ -39,171 +43,99 @@ std::string RunReport::to_json() const {
 
 namespace {
 
-Status schema_error(const std::string& what) {
-  return invalid_argument("run report schema: " + what);
-}
+using K = FieldKind;
 
-// "counters"/"gauges" must map names to integers; "histograms" maps names to
-// {count, sum, buckets[], quantiles{p50,p90,p99,max}} objects.
-Status check_metric_group(const JsonValue& group, const std::string& where) {
-  const JsonValue* counters = group.find("counters");
-  if (counters == nullptr || !counters->is_object()) {
-    return schema_error(where + ".counters missing or not an object");
-  }
-  for (const auto& [name, value] : counters->members) {
-    if (!value.is_number() || !value.number_is_integer) {
-      return schema_error(where + ".counters." + name + " not an integer");
-    }
-  }
-  const JsonValue* gauges = group.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    return schema_error(where + ".gauges missing or not an object");
-  }
-  for (const auto& [name, value] : gauges->members) {
-    if (!value.is_number() || !value.number_is_integer) {
-      return schema_error(where + ".gauges." + name + " not an integer");
-    }
-  }
-  const JsonValue* histograms = group.find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    return schema_error(where + ".histograms missing or not an object");
-  }
-  for (const auto& [name, value] : histograms->members) {
-    const std::string path = where + ".histograms." + name;
-    if (!value.is_object()) return schema_error(path + " not an object");
-    const JsonValue* count = value.find("count");
-    if (count == nullptr || !count->is_number() || !count->number_is_integer) {
-      return schema_error(path + ".count missing or not an integer");
-    }
-    const JsonValue* sum = value.find("sum");
-    if (sum == nullptr || !sum->is_number() || !sum->number_is_integer) {
-      return schema_error(path + ".sum missing or not an integer");
-    }
-    const JsonValue* buckets = value.find("buckets");
-    if (buckets == nullptr || !buckets->is_array()) {
-      return schema_error(path + ".buckets missing or not an array");
-    }
-    for (const JsonValue& bucket : buckets->array) {
-      if (!bucket.is_number() || !bucket.number_is_integer) {
-        return schema_error(path + ".buckets element not an integer");
-      }
-    }
-    const JsonValue* quantiles = value.find("quantiles");
-    if (quantiles == nullptr || !quantiles->is_object()) {
-      return schema_error(path + ".quantiles missing or not an object");
-    }
-    std::int64_t prev = 0;
-    const char* prev_name = nullptr;
-    for (const char* q : {"p50", "p90", "p99", "max"}) {
-      const JsonValue* v = quantiles->find(q);
-      if (v == nullptr || !v->is_number() || !v->number_is_integer) {
-        return schema_error(path + ".quantiles." + q +
-                            " missing or not an integer");
-      }
-      // Upper-bound quantiles from one bucket array are necessarily ordered
-      // (int_value wraps for the top bucket's UINT64_MAX, so compare only
-      // non-negative values — a wrapped max is by construction the largest).
-      if (prev_name != nullptr && v->int_value >= 0 && prev >= 0 &&
-          v->int_value < prev) {
-        return schema_error(path + ".quantiles." + q + " < " + prev_name);
-      }
-      prev = v->int_value;
-      prev_name = q;
-    }
-  }
-  return Status::ok();
-}
+constexpr FieldSpec kRunReportFields[] = {
+    {.name = "run_report_version", .kind = K::kInt,
+     .min = RunReport::kSchemaVersion, .max = RunReport::kSchemaVersion},
+    {.name = "tool", .kind = K::kNonEmptyString},
+    {.name = "task"},
+    {.name = "params", .kind = K::kObject},
+    {.name = "wall_seconds", .kind = K::kNumber},
+    {.name = "metrics", .kind = K::kObject},
+    {.name = "sections", .kind = K::kObject},
+};
 
-// The optional sections.timeseries object mirroring a heartbeat stream:
-// run_id + interval + parallel arrays, one entry per captured tick.
-Status check_timeseries_section(const JsonValue& ts) {
-  if (!ts.is_object()) {
-    return schema_error("sections.timeseries not an object");
-  }
-  const JsonValue* run_id = ts.find("run_id");
-  if (run_id == nullptr || !run_id->is_string() ||
-      run_id->string_value.empty()) {
-    return schema_error("sections.timeseries.run_id missing or empty");
-  }
-  const JsonValue* interval = ts.find("interval_ms");
-  if (interval == nullptr || !interval->is_number() ||
-      !interval->number_is_integer || interval->int_value < 1) {
-    return schema_error(
-        "sections.timeseries.interval_ms missing or not a positive integer");
-  }
-  const JsonValue* ticks = ts.find("ticks");
-  if (ticks == nullptr || !ticks->is_number() || !ticks->number_is_integer ||
-      ticks->int_value < 0) {
-    return schema_error(
-        "sections.timeseries.ticks missing or not a non-negative integer");
-  }
-  for (const char* field :
-       {"uptime_ms", "nodes_total", "frontier_size", "nodes_per_sec"}) {
-    const JsonValue* arr = ts.find(field);
-    if (arr == nullptr || !arr->is_array()) {
-      return schema_error(std::string("sections.timeseries.") + field +
-                          " missing or not an array");
-    }
-    if (arr->array.size() != static_cast<std::size_t>(ticks->int_value)) {
-      return schema_error(std::string("sections.timeseries.") + field +
-                          " length != ticks");
-    }
-    for (const JsonValue& v : arr->array) {
-      if (!v.is_number()) {
-        return schema_error(std::string("sections.timeseries.") + field +
-                            " element not a number");
+constexpr FieldSpec kMetricGroupFields[] = {
+    {.name = "counters", .kind = K::kObject},
+    {.name = "gauges", .kind = K::kObject},
+    {.name = "histograms", .kind = K::kObject},
+};
+
+constexpr FieldSpec kHistogramFields[] = {
+    {.name = "count", .kind = K::kUint},
+    {.name = "sum", .kind = K::kUint},
+    {.name = "buckets", .kind = K::kArray},
+    {.name = "quantiles", .kind = K::kObject},
+};
+
+// In the order upper-bound quantiles from one bucket array must hold.
+constexpr FieldSpec kQuantileFields[] = {
+    {.name = "p50", .kind = K::kUint},
+    {.name = "p90", .kind = K::kUint},
+    {.name = "p99", .kind = K::kUint},
+    {.name = "max", .kind = K::kUint},
+};
+
+// Rows 3.. are the per-tick arrays, each `ticks` long.
+constexpr FieldSpec kTimeseriesFields[] = {
+    {.name = "run_id", .kind = K::kNonEmptyString},
+    {.name = "interval_ms", .kind = K::kInt, .min = 1},
+    {.name = "ticks", .kind = K::kInt, .min = 0},
+    {.name = "uptime_ms", .kind = K::kArray},
+    {.name = "nodes_total", .kind = K::kArray},
+    {.name = "frontier_size", .kind = K::kArray},
+    {.name = "nodes_per_sec", .kind = K::kArray},
+};
+
+// "counters" (uint64) and "gauges" (int64) map names to integers;
+// "histograms" maps names to {count, sum, buckets[], quantiles{...}}.
+Status check_metric_group(const JsonValue& group, const SchemaPath& path) {
+  LBSA_RETURN_IF_ERROR(check_fields(group, kMetricGroupFields, path));
+  LBSA_RETURN_IF_ERROR(check_map_of(*group.find("counters"), K::kUint,
+                                    path.field("counters")));
+  LBSA_RETURN_IF_ERROR(
+      check_map_of(*group.find("gauges"), K::kInt, path.field("gauges")));
+  for (const auto& [name, histogram] : group.find("histograms")->members) {
+    const SchemaPath at = path.field("histograms").field(name);
+    LBSA_RETURN_IF_ERROR(check_fields(histogram, kHistogramFields, at));
+    LBSA_RETURN_IF_ERROR(check_array_of(*histogram.find("buckets"), K::kUint,
+                                        at.field("buckets")));
+    const JsonValue& q = *histogram.find("quantiles");
+    LBSA_RETURN_IF_ERROR(
+        check_fields(q, kQuantileFields, at.field("quantiles")));
+    for (std::size_t i = 1; i < std::size(kQuantileFields); ++i) {
+      const std::string_view name_i = kQuantileFields[i].name;
+      const std::string_view prev = kQuantileFields[i - 1].name;
+      if (q.find(name_i)->uint_value < q.find(prev)->uint_value) {
+        return at.field("quantiles").error(name_i, "< " + std::string(prev));
       }
     }
   }
   return Status::ok();
 }
 
-Status check_run_report_value(const JsonValue& root) {
-  if (!root.is_object()) return schema_error("document not an object");
-  const JsonValue* version = root.find("run_report_version");
-  if (version == nullptr || !version->is_number() ||
-      !version->number_is_integer) {
-    return schema_error("run_report_version missing or not an integer");
-  }
-  if (version->int_value != RunReport::kSchemaVersion) {
-    return schema_error("unsupported run_report_version " +
-                        std::to_string(version->int_value));
-  }
-  const JsonValue* tool = root.find("tool");
-  if (tool == nullptr || !tool->is_string() || tool->string_value.empty()) {
-    return schema_error("tool missing or empty");
-  }
-  const JsonValue* task = root.find("task");
-  if (task == nullptr || !task->is_string()) {
-    return schema_error("task missing or not a string");
-  }
-  const JsonValue* params = root.find("params");
-  if (params == nullptr || !params->is_object()) {
-    return schema_error("params missing or not an object");
-  }
-  const JsonValue* wall = root.find("wall_seconds");
-  if (wall == nullptr || !wall->is_number()) {
-    return schema_error("wall_seconds missing or not a number");
-  }
-  const JsonValue* metrics = root.find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    return schema_error("metrics missing or not an object");
-  }
-  Status s = check_metric_group(*metrics, "metrics");
-  if (!s.is_ok()) return s;
-  const JsonValue* volatiles = metrics->find("volatile");
-  if (volatiles == nullptr || !volatiles->is_object()) {
-    return schema_error("metrics.volatile missing or not an object");
-  }
-  s = check_metric_group(*volatiles, "metrics.volatile");
-  if (!s.is_ok()) return s;
-  const JsonValue* sections = root.find("sections");
-  if (sections == nullptr || !sections->is_object()) {
-    return schema_error("sections missing or not an object");
-  }
-  if (const JsonValue* ts = sections->find("timeseries"); ts != nullptr) {
-    if (Status status = check_timeseries_section(*ts); !status.is_ok()) {
-      return status;
+Status check_run_report_value(const JsonValue& root, const SchemaPath& path) {
+  LBSA_RETURN_IF_ERROR(check_fields(root, kRunReportFields, path));
+  const JsonValue& metrics = *root.find("metrics");
+  LBSA_RETURN_IF_ERROR(check_metric_group(metrics, path.field("metrics")));
+  constexpr FieldSpec kVolatile[] = {{.name = "volatile", .kind = K::kObject}};
+  LBSA_RETURN_IF_ERROR(check_fields(metrics, kVolatile, path.field("metrics")));
+  LBSA_RETURN_IF_ERROR(check_metric_group(
+      *metrics.find("volatile"), path.field("metrics").field("volatile")));
+  const JsonValue& sections = *root.find("sections");
+  // The optional timeseries section mirrors a heartbeat stream: run_id,
+  // interval and parallel arrays, one entry per captured tick.
+  if (const JsonValue* ts = sections.find("timeseries"); ts != nullptr) {
+    const SchemaPath at = path.field("sections").field("timeseries");
+    LBSA_RETURN_IF_ERROR(check_fields(*ts, kTimeseriesFields, at));
+    const auto ticks = static_cast<std::size_t>(ts->find("ticks")->int_value);
+    for (const FieldSpec& row : std::span(kTimeseriesFields).subspan(3)) {
+      const JsonValue& arr = *ts->find(row.name);
+      if (arr.array.size() != ticks) {
+        return at.error(row.name, "length != ticks");
+      }
+      LBSA_RETURN_IF_ERROR(check_array_of(arr, K::kNumber, at.field(row.name)));
     }
   }
   // The explorer section's full-graph estimate (and the reduction ratio
@@ -211,356 +143,184 @@ Status check_run_report_value(const JsonValue& root) {
   // interrupted graph it silently understates the state space. Writers omit
   // both fields on incomplete graphs; a report carrying them anyway is a
   // producer bug, not a presentation choice — reject it.
-  if (const JsonValue* explorer = sections->find("explorer");
-      explorer != nullptr && explorer->is_object()) {
-    bool incomplete = false;
-    for (const char* flag : {"truncated", "interrupted"}) {
-      if (const JsonValue* v = explorer->find(flag);
-          v != nullptr && v->kind == JsonValue::Kind::kBool && v->bool_value) {
-        incomplete = true;
-      }
+  const JsonValue* explorer = sections.find("explorer");
+  if (explorer == nullptr || !explorer->is_object()) return Status::ok();
+  for (const char* flag : {"truncated", "interrupted"}) {
+    const JsonValue* v = explorer->find(flag);
+    if (v == nullptr || v->kind != JsonValue::Kind::kBool || !v->bool_value) {
+      continue;
     }
-    if (incomplete) {
-      for (const char* field : {"nodes_full_estimate", "reduction_ratio"}) {
-        if (explorer->find(field) != nullptr) {
-          return schema_error(
-              std::string("sections.explorer.") + field +
-              " present on an incomplete (truncated/interrupted) graph");
-        }
+    for (const char* field : {"nodes_full_estimate", "reduction_ratio"}) {
+      if (explorer->find(field) != nullptr) {
+        return path.field("sections").field("explorer").error(
+            field, "present on an incomplete (truncated/interrupted) graph");
       }
     }
   }
   return Status::ok();
 }
+
+constexpr FieldSpec kBenchFields[] = {
+    {.name = "lbsa_bench_schema", .kind = K::kInt, .min = 1, .max = 1},
+    {.name = "benchmarks", .kind = K::kArray},
+    {.name = "run_reports", .kind = K::kObject},
+};
+
+// Optional tags name the sweep a row belongs to: reduction and engine
+// sweeps, obs overhead (the telemetry state), symmetry cost (which side of
+// the reduction off/on pair) and serve throughput (the op an lbsa_client
+// load run drove, docs/serving.md). Measurements, when present, are numbers.
+constexpr std::string_view kObsStates[] = {"heartbeat", "disabled"};
+constexpr std::string_view kSymCostSides[] = {"none", "symmetry"};
+constexpr std::string_view kServeOps[] = {"check", "explore", "fuzz"};
+constexpr FieldSpec kBenchRowFields[] = {
+    {.name = "task", .kind = K::kNonEmptyString},
+    {.name = "reduction", .required = false, .allowed = kReductionNames},
+    {.name = "engine", .required = false, .allowed = kEngineNames},
+    {.name = "obs", .required = false, .allowed = kObsStates},
+    {.name = "sym_cost", .required = false, .allowed = kSymCostSides},
+    {.name = "serve", .required = false, .allowed = kServeOps},
+    {.name = "nodes", .kind = K::kNumber, .required = false},
+    {.name = "nodes_per_sec", .kind = K::kNumber, .required = false},
+    {.name = "reduction_ratio", .kind = K::kNumber, .required = false},
+    {.name = "threads", .kind = K::kNumber, .required = false},
+    {.name = "threads_available", .kind = K::kNumber, .required = false},
+    {.name = "requests", .kind = K::kNumber, .required = false},
+    {.name = "concurrency", .kind = K::kNumber, .required = false},
+    {.name = "throughput_rps", .kind = K::kNumber, .required = false},
+    {.name = "latency_us_p50", .kind = K::kNumber, .required = false},
+    {.name = "latency_us_p90", .kind = K::kNumber, .required = false},
+    {.name = "latency_us_p99", .kind = K::kNumber, .required = false},
+};
+
+constexpr FieldSpec kHierarchyFields[] = {
+    {.name = "lbsa_hierarchy_schema", .kind = K::kInt, .min = 1, .max = 1},
+    {.name = "n_min", .kind = K::kInt, .min = 2},
+    {.name = "n_max", .kind = K::kInt, .min = 2},
+    {.name = "rows", .kind = K::kArray},
+    {.name = "provenance", .kind = K::kObject},
+};
+
+constexpr FieldSpec kHierarchyRowFields[] = {
+    {.name = "n", .kind = K::kInt, .min = 2},
+    {.name = "m", .kind = K::kInt, .min = 1},
+    {.name = "object", .kind = K::kNonEmptyString},
+    {.name = "declared_level", .kind = K::kInt, .min = 1},
+    {.name = "level_source", .kind = K::kNonEmptyString},
+    {.name = "consensus", .kind = K::kObject},
+    {.name = "consensus_ok_all_p", .kind = K::kBool},
+    {.name = "dac", .kind = K::kObject},
+    {.name = "matches_catalog", .kind = K::kBool},
+};
+
+// One "consensus"/"dac" check object: ok verdict plus sane graph counts.
+constexpr FieldSpec kHierarchyCheckFields[] = {
+    {.name = "ok", .kind = K::kBool},
+    {.name = "processes", .kind = K::kInt, .min = 1},
+    {.name = "nodes", .kind = K::kInt, .min = 1},
+    {.name = "transitions", .kind = K::kInt, .min = 1},
+    {.name = "nodes_full", .kind = K::kInt, .min = 1},
+    {.name = "reduction_ratio", .kind = K::kNumber},
+};
+
+// Sweep rows are pinned to symmetry reduction.
+constexpr std::string_view kSweepTools[] = {"hierarchy_sweep_cli"};
+constexpr std::string_view kSweepReductions[] = {"symmetry"};
+constexpr FieldSpec kProvenanceFields[] = {
+    {.name = "tool", .allowed = kSweepTools},
+    {.name = "engine", .allowed = kEngineNames},
+    {.name = "threads", .kind = K::kInt, .min = 0},
+    {.name = "threads_available", .kind = K::kInt, .min = 1},
+    {.name = "reduction", .allowed = kSweepReductions},
+};
 
 }  // namespace
 
 Status validate_run_report_json(std::string_view json) {
   StatusOr<JsonValue> parsed = parse_json(json);
   if (!parsed.is_ok()) return parsed.status();
-  return check_run_report_value(parsed.value());
+  return check_run_report_value(parsed.value(),
+                                SchemaPath("run report schema"));
 }
 
 Status validate_bench_artifact_json(std::string_view json) {
   StatusOr<JsonValue> parsed = parse_json(json);
   if (!parsed.is_ok()) return parsed.status();
   const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return invalid_argument("bench schema: document not an object");
-  }
-  const JsonValue* version = root.find("lbsa_bench_schema");
-  if (version == nullptr || !version->is_number() ||
-      !version->number_is_integer || version->int_value != 1) {
-    return invalid_argument("bench schema: lbsa_bench_schema != 1");
-  }
-  const JsonValue* benchmarks = root.find("benchmarks");
-  if (benchmarks == nullptr || !benchmarks->is_array()) {
-    return invalid_argument("bench schema: benchmarks missing or not an array");
-  }
-  for (const JsonValue& row : benchmarks->array) {
-    if (!row.is_object()) {
-      return invalid_argument("bench schema: benchmarks element not an object");
-    }
-    const JsonValue* task = row.find("task");
-    if (task == nullptr || !task->is_string() || task->string_value.empty()) {
-      return invalid_argument("bench schema: benchmark task missing or empty");
-    }
-    // Reduction-sweep rows: "reduction" (when present) must be a known mode
-    // and the associated measurements must be numbers.
-    if (const JsonValue* reduction = row.find("reduction");
-        reduction != nullptr) {
-      if (!reduction->is_string() ||
-          (reduction->string_value != "none" &&
-           reduction->string_value != "symmetry" &&
-           reduction->string_value != "por" &&
-           reduction->string_value != "both")) {
-        return invalid_argument(
-            "bench schema: benchmark reduction not one of "
-            "none/symmetry/por/both");
-      }
-    }
-    // Engine-sweep rows: "engine" (when present) must be a known engine.
-    if (const JsonValue* engine = row.find("engine"); engine != nullptr) {
-      if (!engine->is_string() || (engine->string_value != "serial" &&
-                                   engine->string_value != "workstealing" &&
-                                   engine->string_value != "auto")) {
-        return invalid_argument(
-            "bench schema: benchmark engine not one of "
-            "serial/workstealing/auto");
-      }
-    }
-    // Obs-overhead rows: "obs" (when present) names which telemetry state
-    // the row was measured under.
-    if (const JsonValue* obs = row.find("obs"); obs != nullptr) {
-      if (!obs->is_string() || (obs->string_value != "heartbeat" &&
-                                obs->string_value != "disabled")) {
-        return invalid_argument(
-            "bench schema: benchmark obs not one of heartbeat/disabled");
-      }
-    }
-    // Symmetry-cost rows: "sym_cost" (when present) names which side of the
-    // reduction-off/on wall-clock pair the row is.
-    if (const JsonValue* sym_cost = row.find("sym_cost");
-        sym_cost != nullptr) {
-      if (!sym_cost->is_string() || (sym_cost->string_value != "none" &&
-                                     sym_cost->string_value != "symmetry")) {
-        return invalid_argument(
-            "bench schema: benchmark sym_cost not one of none/symmetry");
-      }
-    }
-    // Serve-throughput rows: "serve" (when present) names the op an
-    // lbsa_client load run drove against lbsa_serverd (docs/serving.md).
-    if (const JsonValue* serve = row.find("serve"); serve != nullptr) {
-      if (!serve->is_string() || (serve->string_value != "check" &&
-                                  serve->string_value != "explore" &&
-                                  serve->string_value != "fuzz")) {
-        return invalid_argument(
-            "bench schema: benchmark serve not one of check/explore/fuzz");
-      }
-    }
-    for (const char* field : {"nodes", "nodes_per_sec", "reduction_ratio",
-                              "threads", "threads_available", "requests",
-                              "concurrency", "throughput_rps",
-                              "latency_us_p50", "latency_us_p90",
-                              "latency_us_p99"}) {
-      if (const JsonValue* v = row.find(field); v != nullptr) {
-        if (!v->is_number()) {
-          return invalid_argument(std::string("bench schema: benchmark ") +
-                                  field + " not a number");
-        }
-      }
-    }
-  }
-  const JsonValue* reports = root.find("run_reports");
-  if (reports == nullptr || !reports->is_object()) {
-    return invalid_argument(
-        "bench schema: run_reports missing or not an object");
-  }
-  for (const auto& [name, value] : reports->members) {
-    Status s = check_run_report_value(value);
-    if (!s.is_ok()) {
-      return invalid_argument("bench schema: run_reports." + name + ": " +
-                              s.message());
-    }
+  const SchemaPath path("bench schema");
+  LBSA_RETURN_IF_ERROR(check_fields(root, kBenchFields, path));
+  LBSA_RETURN_IF_ERROR(check_array_of(*root.find("benchmarks"), K::kObject,
+                                      path.field("benchmarks"),
+                                      kBenchRowFields));
+  for (const auto& [name, report] : root.find("run_reports")->members) {
+    LBSA_RETURN_IF_ERROR(check_run_report_value(
+        report, path.field("run_reports").field(name)));
   }
   return Status::ok();
 }
-
-namespace {
-
-Status hierarchy_error(const std::string& what) {
-  return invalid_argument("hierarchy schema: " + what);
-}
-
-// A required integer field with a lower bound; `where` names the row.
-Status check_hierarchy_int(const JsonValue& obj, const char* field,
-                           std::int64_t min, const std::string& where,
-                           std::int64_t* out = nullptr) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || !v->is_number() || !v->number_is_integer) {
-    return hierarchy_error(where + "." + field + " missing or not an integer");
-  }
-  if (v->int_value < min) {
-    return hierarchy_error(where + "." + field + " < " +
-                           std::to_string(min));
-  }
-  if (out != nullptr) *out = v->int_value;
-  return Status::ok();
-}
-
-Status check_hierarchy_true(const JsonValue& obj, const char* field,
-                            const std::string& where) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) {
-    return hierarchy_error(where + "." + field + " missing or not a bool");
-  }
-  if (!v->bool_value) {
-    return hierarchy_error(where + "." + field + " is false");
-  }
-  return Status::ok();
-}
-
-// One "consensus"/"dac" check object: ok verdict plus sane graph counts.
-Status check_hierarchy_check(const JsonValue& row, const char* field,
-                             std::int64_t expected_processes,
-                             const std::string& where) {
-  const JsonValue* check = row.find(field);
-  const std::string path = where + "." + field;
-  if (check == nullptr || !check->is_object()) {
-    return hierarchy_error(path + " missing or not an object");
-  }
-  if (Status s = check_hierarchy_true(*check, "ok", path); !s.is_ok()) {
-    return s;
-  }
-  std::int64_t processes = 0;
-  if (Status s = check_hierarchy_int(*check, "processes", 1, path, &processes);
-      !s.is_ok()) {
-    return s;
-  }
-  if (processes != expected_processes) {
-    return hierarchy_error(path + ".processes != " +
-                           std::to_string(expected_processes));
-  }
-  std::int64_t nodes = 0;
-  std::int64_t nodes_full = 0;
-  if (Status s = check_hierarchy_int(*check, "nodes", 1, path, &nodes);
-      !s.is_ok()) {
-    return s;
-  }
-  if (Status s = check_hierarchy_int(*check, "transitions", 1, path);
-      !s.is_ok()) {
-    return s;
-  }
-  if (Status s =
-          check_hierarchy_int(*check, "nodes_full", 1, path, &nodes_full);
-      !s.is_ok()) {
-    return s;
-  }
-  if (nodes_full < nodes) {
-    return hierarchy_error(path + ".nodes_full < nodes");
-  }
-  const JsonValue* ratio = check->find("reduction_ratio");
-  if (ratio == nullptr || !ratio->is_number()) {
-    return hierarchy_error(path + ".reduction_ratio missing or not a number");
-  }
-  if (ratio->number_value < 1.0) {
-    return hierarchy_error(path + ".reduction_ratio < 1.0");
-  }
-  return Status::ok();
-}
-
-}  // namespace
 
 Status validate_hierarchy_artifact_json(std::string_view json) {
   StatusOr<JsonValue> parsed = parse_json(json);
   if (!parsed.is_ok()) return parsed.status();
   const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return hierarchy_error("document not an object");
-  }
-  const JsonValue* version = root.find("lbsa_hierarchy_schema");
-  if (version == nullptr || !version->is_number() ||
-      !version->number_is_integer || version->int_value != 1) {
-    return hierarchy_error("lbsa_hierarchy_schema != 1");
-  }
-  std::int64_t n_min = 0;
-  std::int64_t n_max = 0;
-  if (Status s = check_hierarchy_int(root, "n_min", 2, "root", &n_min);
-      !s.is_ok()) {
-    return s;
-  }
-  if (Status s = check_hierarchy_int(root, "n_max", 2, "root", &n_max);
-      !s.is_ok()) {
-    return s;
-  }
-  if (n_max < n_min) return hierarchy_error("n_max < n_min");
+  const SchemaPath path("hierarchy schema");
+  LBSA_RETURN_IF_ERROR(check_fields(root, kHierarchyFields, path));
+  const std::int64_t n_min = root.find("n_min")->int_value;
+  const std::int64_t n_max = root.find("n_max")->int_value;
+  if (n_max < n_min) return path.error("n_max", "< n_min");
 
-  const JsonValue* rows = root.find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return hierarchy_error("rows missing or not an array");
-  }
   // Exact lexicographic coverage of [n_min, n_max] x [1, n].
+  const std::vector<JsonValue>& rows = root.find("rows")->array;
   std::size_t index = 0;
   for (std::int64_t n = n_min; n <= n_max; ++n) {
     for (std::int64_t m = 1; m <= n; ++m, ++index) {
-      const std::string where =
-          "rows[" + std::to_string(index) + "] (n=" + std::to_string(n) +
-          ",m=" + std::to_string(m) + ")";
-      if (index >= rows->array.size()) {
-        return hierarchy_error(where + " missing: sweep does not cover the "
-                                       "full (n, m) grid");
+      const SchemaPath at("hierarchy schema",
+                          "rows[" + std::to_string(index) + "] (n=" +
+                              std::to_string(n) + ",m=" + std::to_string(m) +
+                              ")");
+      if (index >= rows.size()) {
+        return at.error("missing: sweep does not cover the full (n, m) grid");
       }
-      const JsonValue& row = rows->array[index];
-      if (!row.is_object()) return hierarchy_error(where + " not an object");
-      std::int64_t row_n = 0;
-      std::int64_t row_m = 0;
-      if (Status s = check_hierarchy_int(row, "n", 2, where, &row_n);
-          !s.is_ok()) {
-        return s;
+      const JsonValue& row = rows[index];
+      LBSA_RETURN_IF_ERROR(check_fields(row, kHierarchyRowFields, at));
+      if (row.find("n")->int_value != n || row.find("m")->int_value != m) {
+        return at.error("out of lexicographic order");
       }
-      if (Status s = check_hierarchy_int(row, "m", 1, where, &row_m);
-          !s.is_ok()) {
-        return s;
+      if (row.find("declared_level")->int_value != m) {
+        return at.error("declared_level", "!= m (Theorem 5.3)");
       }
-      if (row_n != n || row_m != m) {
-        return hierarchy_error(where + " out of lexicographic order");
+      // The constructive checks: consensus among m, DAC among n processes.
+      for (const auto& [name, processes] :
+           {std::pair{"consensus", m}, std::pair{"dac", n}}) {
+        const JsonValue& check = *row.find(name);
+        const SchemaPath in = at.field(name);
+        LBSA_RETURN_IF_ERROR(check_fields(check, kHierarchyCheckFields, in));
+        if (!check.find("ok")->bool_value) return in.error("ok", "is false");
+        if (check.find("processes")->int_value != processes) {
+          return in.error("processes", "!= " + std::to_string(processes));
+        }
+        if (check.find("nodes_full")->int_value <
+            check.find("nodes")->int_value) {
+          return in.error("nodes_full", "< nodes");
+        }
+        if (check.find("reduction_ratio")->number_value < 1.0) {
+          return in.error("reduction_ratio", "< 1.0");
+        }
       }
-      const JsonValue* object = row.find("object");
-      if (object == nullptr || !object->is_string() ||
-          object->string_value.empty()) {
-        return hierarchy_error(where + ".object missing or empty");
-      }
-      std::int64_t level = 0;
-      if (Status s =
-              check_hierarchy_int(row, "declared_level", 1, where, &level);
-          !s.is_ok()) {
-        return s;
-      }
-      if (level != m) {
-        return hierarchy_error(where + ".declared_level != m (Theorem 5.3)");
-      }
-      const JsonValue* source = row.find("level_source");
-      if (source == nullptr || !source->is_string() ||
-          source->string_value.empty()) {
-        return hierarchy_error(where + ".level_source missing or empty");
-      }
-      if (Status s = check_hierarchy_check(row, "consensus", m, where);
-          !s.is_ok()) {
-        return s;
-      }
-      if (Status s = check_hierarchy_true(row, "consensus_ok_all_p", where);
-          !s.is_ok()) {
-        return s;
-      }
-      if (Status s = check_hierarchy_check(row, "dac", n, where);
-          !s.is_ok()) {
-        return s;
-      }
-      if (Status s = check_hierarchy_true(row, "matches_catalog", where);
-          !s.is_ok()) {
-        return s;
+      for (const char* verdict : {"consensus_ok_all_p", "matches_catalog"}) {
+        if (!row.find(verdict)->bool_value) {
+          return at.error(verdict, "is false");
+        }
       }
     }
   }
-  if (index != rows->array.size()) {
-    return hierarchy_error("rows has " + std::to_string(rows->array.size()) +
-                           " entries, expected " + std::to_string(index));
+  if (index != rows.size()) {
+    return path.error("rows", "has " + std::to_string(rows.size()) +
+                                  " entries, expected " +
+                                  std::to_string(index));
   }
-
-  const JsonValue* provenance = root.find("provenance");
-  if (provenance == nullptr || !provenance->is_object()) {
-    return hierarchy_error("provenance missing or not an object");
-  }
-  const JsonValue* tool = provenance->find("tool");
-  if (tool == nullptr || !tool->is_string() ||
-      tool->string_value != "hierarchy_sweep_cli") {
-    return hierarchy_error("provenance.tool != hierarchy_sweep_cli");
-  }
-  const JsonValue* engine = provenance->find("engine");
-  if (engine == nullptr || !engine->is_string() ||
-      (engine->string_value != "serial" &&
-       engine->string_value != "workstealing" &&
-       engine->string_value != "auto")) {
-    return hierarchy_error(
-        "provenance.engine not one of serial/workstealing/auto");
-  }
-  if (Status s =
-          check_hierarchy_int(*provenance, "threads", 0, "provenance");
-      !s.is_ok()) {
-    return s;
-  }
-  if (Status s = check_hierarchy_int(*provenance, "threads_available", 1,
-                                     "provenance");
-      !s.is_ok()) {
-    return s;
-  }
-  const JsonValue* reduction = provenance->find("reduction");
-  if (reduction == nullptr || !reduction->is_string() ||
-      reduction->string_value != "symmetry") {
-    return hierarchy_error(
-        "provenance.reduction != symmetry (sweep rows are pinned)");
-  }
-  return Status::ok();
+  return check_fields(*root.find("provenance"), kProvenanceFields,
+                      path.field("provenance"));
 }
 
 Status write_text_file(const std::string& path, std::string_view text) {

@@ -1,65 +1,145 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "modelcheck/explorer.h"
 #include "obs/json.h"
+#include "obs/schema.h"
 
 namespace lbsa::serve {
 namespace {
 
+using obs::FieldKind;
+using obs::FieldSpec;
 using obs::JsonValue;
+using obs::SchemaPath;
+using K = FieldKind;
 
-Status bad(std::string_view what) {
-  return invalid_argument("serve request: " + std::string(what));
+// A wire field bound to the struct member it sets. `variants` is a bit set
+// over the values of the line's discriminator (the request op or the
+// response type): the field belongs to the line only for those values.
+template <class T>
+struct BoundField {
+  FieldSpec spec;
+  unsigned variants;
+  std::variant<std::monostate, std::string T::*, std::uint64_t T::*,
+               int T::*, bool T::*>
+      member;  // monostate: checked, not stored
+};
+
+template <class T>
+void store(const BoundField<T>& field, const JsonValue& v, T* out) {
+  if (auto* m = std::get_if<std::string T::*>(&field.member)) {
+    out->**m = v.string_value;
+  } else if (auto* m = std::get_if<std::uint64_t T::*>(&field.member)) {
+    out->**m = v.uint_value;
+  } else if (auto* m = std::get_if<int T::*>(&field.member)) {
+    out->**m = static_cast<int>(v.int_value);  // kInt rows bound the range
+  } else if (auto* m = std::get_if<bool T::*>(&field.member)) {
+    out->**m = v.bool_value;
+  }
 }
 
-// Typed field readers; each rejects wrong-typed values loudly rather than
-// falling back to a default (a silently coerced knob is a debugging trap).
-Status read_string(const JsonValue& v, std::string_view key,
-                   std::string* out) {
-  if (!v.is_string()) {
-    return bad("\"" + std::string(key) + "\" must be a string");
+// Checks the rows of `table` that belong to `variant` against `doc` and
+// stores each present value into `out`.
+template <class T>
+Status read_fields(const JsonValue& doc, std::span<const BoundField<T>> table,
+                   unsigned variant, const SchemaPath& path, T* out) {
+  for (const BoundField<T>& field : table) {
+    if ((field.variants & variant) == 0) continue;
+    const JsonValue* v = doc.find(field.spec.name);
+    if (v == nullptr) {
+      if (field.spec.required) return path.error(field.spec.name, "missing");
+      continue;
+    }
+    LBSA_RETURN_IF_ERROR(obs::check_value(*v, field.spec, path));
+    store(field, *v, out);
   }
-  *out = v.string_value;
   return Status::ok();
 }
 
-Status read_uint(const JsonValue& v, std::string_view key,
-                 std::uint64_t* out) {
-  if (!v.is_number() || !v.number_is_integer || v.int_value < 0) {
-    return bad("\"" + std::string(key) + "\" must be a non-negative integer");
+// Reads the discriminator field `spec` (a string with an allowed list) and
+// returns its variant bit: 1 << (index in spec.allowed).
+Status read_variant(const JsonValue& doc, const FieldSpec& spec,
+                    const SchemaPath& path, unsigned* bit) {
+  LBSA_RETURN_IF_ERROR(obs::check_fields(doc, {&spec, 1}, path));
+  const std::string& value = doc.find(spec.name)->string_value;
+  for (std::size_t i = 0; i < spec.allowed.size(); ++i) {
+    if (spec.allowed[i] == value) *bit = 1u << i;
   }
-  *out = static_cast<std::uint64_t>(v.int_value);
   return Status::ok();
 }
 
-Status read_int(const JsonValue& v, std::string_view key, int* out,
-                int min = std::numeric_limits<int>::min(),
-                int max = std::numeric_limits<int>::max()) {
-  if (!v.is_number() || !v.number_is_integer || v.int_value < min ||
-      v.int_value > max) {
-    return bad("\"" + std::string(key) + "\" must be an integer in [" +
-               std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  *out = static_cast<int>(v.int_value);
-  return Status::ok();
-}
+constexpr std::string_view kOps[] = {"check", "explore", "fuzz", "status",
+                                     "cancel"};
+enum : unsigned {
+  kCheck = 1u << 0,
+  kExplore = 1u << 1,
+  kFuzz = 1u << 2,
+  kStatus = 1u << 3,
+  kCancel = 1u << 4,
+  kGraphOps = kCheck | kExplore,
+  kWorkOps = kCheck | kExplore | kFuzz,
+  kAllOps = kWorkOps | kStatus | kCancel,
+};
 
-Status read_bool(const JsonValue& v, std::string_view key, bool* out) {
-  if (v.kind != JsonValue::Kind::kBool) {
-    return bad("\"" + std::string(key) + "\" must be a boolean");
-  }
-  *out = v.bool_value;
-  return Status::ok();
-}
+constexpr FieldSpec kOpField = {.name = "op", .allowed = kOps};
 
-bool op_takes_graph_knobs(const std::string& op) {
-  return op == "check" || op == "explore";
-}
+// Every request field, the ops that accept it, and the ServeRequest member
+// it sets. Wrong-typed values are rejected loudly rather than falling back
+// to a default (a silently coerced knob is a debugging trap).
+constexpr BoundField<ServeRequest> kRequestFields[] = {
+    {{.name = "serve_version", .kind = K::kInt, .min = kServeSchemaVersion,
+      .max = kServeSchemaVersion},
+     kAllOps, {}},
+    {kOpField, kAllOps, &ServeRequest::op},
+    {{.name = "id", .kind = K::kNonEmptyString}, kAllOps, &ServeRequest::id},
+    {{.name = "deadline_ms", .kind = K::kUint, .required = false}, kAllOps,
+     &ServeRequest::deadline_ms},
+    {{.name = "heartbeat_ms", .kind = K::kUint, .required = false}, kAllOps,
+     &ServeRequest::heartbeat_ms},
+    {{.name = "task", .kind = K::kNonEmptyString}, kWorkOps,
+     &ServeRequest::task},
+    {{.name = "target", .kind = K::kNonEmptyString}, kCancel,
+     &ServeRequest::target},
+    // Each worker is an OS thread: bound the request before it reaches an
+    // explorer (which enforces the same range).
+    {{.name = "threads", .kind = K::kInt, .required = false, .min = 0,
+      .max = modelcheck::kMaxExploreThreads},
+     kGraphOps, &ServeRequest::threads},
+    {{.name = "engine", .required = false}, kGraphOps, &ServeRequest::engine},
+    {{.name = "reduction", .required = false}, kGraphOps,
+     &ServeRequest::reduction},
+    {{.name = "max_nodes", .kind = K::kUint, .required = false}, kGraphOps,
+     &ServeRequest::max_nodes},
+    {{.name = "allow_truncation", .kind = K::kBool, .required = false},
+     kGraphOps, &ServeRequest::allow_truncation},
+    {{.name = "max_levels", .kind = K::kUint, .required = false}, kExplore,
+     &ServeRequest::max_levels},
+    {{.name = "runs", .kind = K::kUint, .required = false}, kFuzz,
+     &ServeRequest::runs},
+    {{.name = "seed", .kind = K::kUint, .required = false}, kFuzz,
+     &ServeRequest::seed},
+    {{.name = "coverage", .kind = K::kBool, .required = false}, kFuzz,
+     &ServeRequest::coverage},
+    {{.name = "stop_after_runs", .kind = K::kUint, .required = false}, kFuzz,
+     &ServeRequest::stop_after_runs},
+    {{.name = "checkpoint_path", .required = false}, kFuzz,
+     &ServeRequest::checkpoint_path},
+    {{.name = "solo_node_bound", .kind = K::kUint, .required = false}, kCheck,
+     &ServeRequest::solo_node_bound},
+    // A report that is full before the first node would certify nothing.
+    {{.name = "max_violations", .kind = K::kInt, .required = false, .min = 1,
+      .max = std::numeric_limits<int>::max()},
+     kCheck | kFuzz, &ServeRequest::max_violations},
+};
 
 }  // namespace
 
@@ -70,90 +150,25 @@ StatusOr<ServeRequest> parse_request(std::string_view line) {
                             doc_or.status().to_string());
   }
   const JsonValue& doc = doc_or.value();
-  if (!doc.is_object()) return bad("top level must be an object");
-
-  // Two passes: find the op first (it decides which knobs are legal), then
-  // read every member strictly — an unknown or op-inapplicable key is an
-  // error, never a silent default.
-  const JsonValue* op_value = doc.find("op");
-  if (op_value == nullptr) return bad("missing \"op\"");
-  ServeRequest req;
-  if (Status s = read_string(*op_value, "op", &req.op); !s.is_ok()) return s;
-  if (req.op != "check" && req.op != "explore" && req.op != "fuzz" &&
-      req.op != "status" && req.op != "cancel") {
-    return bad("unknown op \"" + req.op +
-               "\" (want check|explore|fuzz|status|cancel)");
-  }
-
-  bool saw_version = false;
-  for (const auto& [key, value] : doc.members) {
-    Status s = Status::ok();
-    if (key == "serve_version") {
-      saw_version = true;
-      std::uint64_t version = 0;
-      s = read_uint(value, key, &version);
-      if (s.is_ok() && version != kServeSchemaVersion) {
-        s = bad("serve_version " + std::to_string(version) +
-                " unsupported (speak version " +
-                std::to_string(kServeSchemaVersion) + ")");
-      }
-    } else if (key == "op") {
-      // Parsed above.
-    } else if (key == "id") {
-      s = read_string(value, key, &req.id);
-    } else if (key == "deadline_ms") {
-      s = read_uint(value, key, &req.deadline_ms);
-    } else if (key == "heartbeat_ms") {
-      s = read_uint(value, key, &req.heartbeat_ms);
-    } else if (key == "task" && req.op != "status" && req.op != "cancel") {
-      s = read_string(value, key, &req.task);
-    } else if (key == "target" && req.op == "cancel") {
-      s = read_string(value, key, &req.target);
-    } else if (key == "threads" && op_takes_graph_knobs(req.op)) {
-      // Each worker is an OS thread: bound the request before it reaches
-      // an explorer (which enforces the same range).
-      s = read_int(value, key, &req.threads, /*min=*/0,
-                   /*max=*/modelcheck::kMaxExploreThreads);
-    } else if (key == "engine" && op_takes_graph_knobs(req.op)) {
-      s = read_string(value, key, &req.engine);
-    } else if (key == "reduction" && op_takes_graph_knobs(req.op)) {
-      s = read_string(value, key, &req.reduction);
-    } else if (key == "max_nodes" && op_takes_graph_knobs(req.op)) {
-      s = read_uint(value, key, &req.max_nodes);
-    } else if (key == "allow_truncation" && op_takes_graph_knobs(req.op)) {
-      s = read_bool(value, key, &req.allow_truncation);
-    } else if (key == "max_levels" && req.op == "explore") {
-      s = read_uint(value, key, &req.max_levels);
-    } else if (key == "runs" && req.op == "fuzz") {
-      s = read_uint(value, key, &req.runs);
-    } else if (key == "seed" && req.op == "fuzz") {
-      s = read_uint(value, key, &req.seed);
-    } else if (key == "coverage" && req.op == "fuzz") {
-      s = read_bool(value, key, &req.coverage);
-    } else if (key == "stop_after_runs" && req.op == "fuzz") {
-      s = read_uint(value, key, &req.stop_after_runs);
-    } else if (key == "checkpoint_path" && req.op == "fuzz") {
-      s = read_string(value, key, &req.checkpoint_path);
-    } else if (key == "solo_node_bound" && req.op == "check") {
-      s = read_uint(value, key, &req.solo_node_bound);
-    } else if (key == "max_violations" &&
-               (req.op == "check" || req.op == "fuzz")) {
-      // A report that is full before the first node would certify nothing.
-      s = read_int(value, key, &req.max_violations, /*min=*/1);
-    } else {
-      s = bad("unknown field \"" + key + "\" for op \"" + req.op + "\"");
+  const SchemaPath path("serve request");
+  // The op decides which fields are legal; an unknown or op-inapplicable
+  // field is an error, never a silent default.
+  unsigned op = 0;
+  LBSA_RETURN_IF_ERROR(read_variant(doc, kOpField, path, &op));
+  for (const auto& member : doc.members) {
+    const std::string& key = member.first;
+    const auto applies = [&](const BoundField<ServeRequest>& field) {
+      return field.spec.name == key && (field.variants & op) != 0;
+    };
+    if (std::none_of(std::begin(kRequestFields), std::end(kRequestFields),
+                     applies)) {
+      return path.error(key, "not a field of op \"" +
+                                 doc.find("op")->string_value + "\"");
     }
-    if (!s.is_ok()) return s;
   }
-
-  if (!saw_version) return bad("missing \"serve_version\"");
-  if (req.id.empty()) return bad("missing \"id\"");
-  if (req.task.empty() && req.op != "status" && req.op != "cancel") {
-    return bad("op \"" + req.op + "\" needs a \"task\"");
-  }
-  if (req.op == "cancel" && req.target.empty()) {
-    return bad("op \"cancel\" needs a \"target\" request id");
-  }
+  ServeRequest req;
+  LBSA_RETURN_IF_ERROR(
+      read_fields<ServeRequest>(doc, kRequestFields, op, path, &req));
   return req;
 }
 
@@ -230,6 +245,47 @@ std::string status_response(const std::string& request_id,
   return std::move(w).str();
 }
 
+namespace {
+
+constexpr std::string_view kTypes[] = {"heartbeat", "report", "error",
+                                       "status", "cancel_ack"};
+enum : unsigned {
+  kHeartbeatType = 1u << 0,
+  kReportType = 1u << 1,
+  kErrorType = 1u << 2,
+  kStatusType = 1u << 3,
+  kCancelAckType = 1u << 4,
+  kAllTypes = (1u << 5) - 1,
+};
+
+constexpr FieldSpec kTypeField = {.name = "type", .allowed = kTypes};
+
+// Every response field, the types that carry it, and the ServeResponse
+// member it sets.
+constexpr BoundField<ServeResponse> kResponseFields[] = {
+    {{.name = "serve_version", .kind = K::kInt, .min = kServeSchemaVersion,
+      .max = kServeSchemaVersion},
+     kAllTypes, {}},
+    {{.name = "request_id"}, kAllTypes, &ServeResponse::request_id},
+    {kTypeField, kAllTypes, &ServeResponse::type},
+    {{.name = "data"}, kHeartbeatType, &ServeResponse::data},
+    {{.name = "exit_code", .kind = K::kInt,
+      .min = std::numeric_limits<int>::min(),
+      .max = std::numeric_limits<int>::max()},
+     kReportType, &ServeResponse::exit_code},
+    {{.name = "cached", .kind = K::kBool}, kReportType, &ServeResponse::cached},
+    {{.name = "human"}, kReportType, &ServeResponse::human},
+    {{.name = "report"}, kReportType, &ServeResponse::data},
+    {{.name = "status"}, kErrorType, &ServeResponse::status_code},
+    {{.name = "message"}, kErrorType, &ServeResponse::message},
+    {{.name = "target"}, kCancelAckType, &ServeResponse::target},
+    {{.name = "found", .kind = K::kBool}, kCancelAckType,
+     &ServeResponse::found},
+    {{.name = "stats"}, kStatusType, &ServeResponse::data},
+};
+
+}  // namespace
+
 StatusOr<ServeResponse> parse_response(std::string_view line) {
   auto doc_or = obs::parse_json(line);
   if (!doc_or.is_ok()) {
@@ -237,77 +293,13 @@ StatusOr<ServeResponse> parse_response(std::string_view line) {
                             doc_or.status().to_string());
   }
   const JsonValue& doc = doc_or.value();
-  if (!doc.is_object()) {
-    return invalid_argument("serve response: top level must be an object");
-  }
-  auto need_string = [&](const char* key, std::string* out) -> Status {
-    const JsonValue* v = doc.find(key);
-    if (v == nullptr || !v->is_string()) {
-      return invalid_argument(std::string("serve response: missing string \"") +
-                              key + "\"");
-    }
-    *out = v->string_value;
-    return Status::ok();
-  };
-
-  const JsonValue* version = doc.find("serve_version");
-  if (version == nullptr || !version->is_number() ||
-      !version->number_is_integer ||
-      version->int_value != kServeSchemaVersion) {
-    return invalid_argument("serve response: bad serve_version");
-  }
+  const SchemaPath path("serve response");
+  unsigned type = 0;
+  LBSA_RETURN_IF_ERROR(read_variant(doc, kTypeField, path, &type));
   ServeResponse resp;
-  if (Status s = need_string("request_id", &resp.request_id); !s.is_ok()) {
-    return s;
-  }
-  if (Status s = need_string("type", &resp.type); !s.is_ok()) return s;
-
-  if (resp.type == "heartbeat") {
-    return need_string("data", &resp.data).is_ok()
-               ? StatusOr<ServeResponse>(std::move(resp))
-               : invalid_argument("serve response: heartbeat needs \"data\"");
-  }
-  if (resp.type == "report") {
-    const JsonValue* exit_code = doc.find("exit_code");
-    const JsonValue* cached = doc.find("cached");
-    if (exit_code == nullptr || !exit_code->is_number() ||
-        !exit_code->number_is_integer || cached == nullptr ||
-        cached->kind != JsonValue::Kind::kBool) {
-      return invalid_argument(
-          "serve response: report needs integer \"exit_code\" and boolean "
-          "\"cached\"");
-    }
-    resp.exit_code = static_cast<int>(exit_code->int_value);
-    resp.cached = cached->bool_value;
-    if (Status s = need_string("human", &resp.human); !s.is_ok()) return s;
-    if (Status s = need_string("report", &resp.data); !s.is_ok()) return s;
-    return resp;
-  }
-  if (resp.type == "error") {
-    if (Status s = need_string("status", &resp.status_code); !s.is_ok()) {
-      return s;
-    }
-    if (Status s = need_string("message", &resp.message); !s.is_ok()) {
-      return s;
-    }
-    return resp;
-  }
-  if (resp.type == "cancel_ack") {
-    if (Status s = need_string("target", &resp.target); !s.is_ok()) return s;
-    const JsonValue* found = doc.find("found");
-    if (found == nullptr || found->kind != JsonValue::Kind::kBool) {
-      return invalid_argument(
-          "serve response: cancel_ack needs boolean \"found\"");
-    }
-    resp.found = found->bool_value;
-    return resp;
-  }
-  if (resp.type == "status") {
-    if (Status s = need_string("stats", &resp.data); !s.is_ok()) return s;
-    return resp;
-  }
-  return invalid_argument("serve response: unknown type \"" + resp.type +
-                          "\"");
+  LBSA_RETURN_IF_ERROR(
+      read_fields<ServeResponse>(doc, kResponseFields, type, path, &resp));
+  return resp;
 }
 
 }  // namespace lbsa::serve

@@ -363,6 +363,98 @@ TEST(HeartbeatValidator, RejectsBrokenStreams) {
   std::remove(path.c_str());
 }
 
+// The RejectsBrokenStreams matrix plus a mid-stream task change, as
+// (label, stream, expected verdict) rows built from one sampled stream.
+struct StreamCase {
+  std::string label;
+  std::string text;
+  bool valid;
+};
+
+std::vector<StreamCase> stream_cases() {
+  FakeClock clock;
+  const std::string path = temp_path("hb_matrix.jsonl");
+  std::remove(path.c_str());
+  Progress& progress = Progress::global();
+  progress.reset();
+  {
+    HeartbeatSampler sampler(test_options(path, &clock));
+    EXPECT_TRUE(sampler.open().is_ok());
+    progress.nodes_total.store(10);
+    clock.now_ms = 1000;
+    sampler.tick();
+    progress.nodes_total.store(20);
+    clock.now_ms = 2000;
+    sampler.tick();
+    EXPECT_TRUE(sampler.stop().is_ok());
+  }
+  progress.reset();
+  const std::string good = read_file(path);
+  std::remove(path.c_str());
+  const std::vector<std::string> lines = lines_of(good);
+  EXPECT_GE(lines.size(), 3u);
+  auto replaced_after_first_line = [&](const std::string& from,
+                                       const std::string& to) {
+    std::string text = good;
+    const std::size_t pos = text.find(from, text.find('\n') + 1);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return text.replace(pos, from.size(), to);
+  };
+  return {
+      {"good", good, true},
+      {"tail", lines[1] + "\n" + lines[2] + "\n", true},
+      {"empty", "", false},
+      {"not json", "not json\n", false},
+      {"swapped seq", lines[1] + "\n" + lines[0] + "\n" + lines[2] + "\n",
+       false},
+      {"nodes_total decreased",
+       replaced_after_first_line("\"nodes_total\":20", "\"nodes_total\":5"),
+       false},
+      {"run_id changed",
+       replaced_after_first_line("deadbeef00000000", "feedface00000000"),
+       false},
+      {"wrong version",
+       replaced_after_first_line("\"heartbeat_version\":1",
+                                 "\"heartbeat_version\":9"),
+       false},
+      {"task changed",
+       replaced_after_first_line("\"task\":\"dac3\"", "\"task\":\"dac4\""),
+       false},
+  };
+}
+
+// lbsa_watch feeds a live tail line by line through HeartbeatStreamChecker;
+// it must reach the whole-stream validator's verdict on every case.
+TEST(HeartbeatValidator, LineByLineCheckerMatchesWholeStream) {
+  for (const StreamCase& c : stream_cases()) {
+    SCOPED_TRACE(c.label);
+    const Status whole = validate_heartbeat_stream(c.text);
+    EXPECT_EQ(whole.is_ok(), c.valid) << whole.to_string();
+
+    HeartbeatStreamChecker checker;
+    Status fed = Status::ok();
+    for (const std::string& line : lines_of(c.text)) {
+      auto parsed = parse_json(line);
+      fed = parsed.is_ok() ? checker.feed(parsed.value()) : parsed.status();
+      if (!fed.is_ok()) break;
+    }
+    if (fed.is_ok() && checker.digest().ticks == 0) {
+      fed = invalid_argument("no heartbeat lines");
+    }
+    EXPECT_EQ(fed.is_ok(), whole.is_ok()) << fed.to_string();
+    if (c.label == "task changed") {
+      EXPECT_NE(fed.message().find("task changed mid-stream"),
+                std::string::npos)
+          << fed.to_string();
+    }
+    if (fed.is_ok()) {
+      const Status digest = validate_heartbeat_summary_json(
+          checker.summary_json());
+      EXPECT_TRUE(digest.is_ok()) << digest.to_string();
+    }
+  }
+}
+
 TEST(HeartbeatValidator, SummaryDigestAcceptAndReject) {
   const std::string good =
       "{\"heartbeat_summary_version\":1,\"run_id\":\"deadbeef00000000\","

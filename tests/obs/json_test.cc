@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -107,6 +108,57 @@ TEST(JsonParse, RejectsNonFiniteNumbers) {
   auto ok = parse_json("1e308");
   ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
   EXPECT_DOUBLE_EQ(ok.value().number_value, 1e308);
+}
+
+TEST(JsonParse, KeepsExactUint64View) {
+  // [2^63, 2^64) overflows strtoll but is a valid uint64 (a counter's or a
+  // histogram's upper half): the parser keeps it exact.
+  auto top = parse_json("18446744073709551615");
+  ASSERT_TRUE(top.is_ok()) << top.status().to_string();
+  EXPECT_TRUE(top.value().number_is_uint);
+  EXPECT_EQ(top.value().uint_value, ~std::uint64_t{0});
+  EXPECT_FALSE(top.value().number_is_integer) << "no exact int64 view";
+
+  auto mid = parse_json("9223372036854775808");
+  ASSERT_TRUE(mid.is_ok());
+  EXPECT_TRUE(mid.value().number_is_uint);
+  EXPECT_EQ(mid.value().uint_value, std::uint64_t{1} << 63);
+
+  auto small = parse_json("42");
+  ASSERT_TRUE(small.is_ok());
+  EXPECT_TRUE(small.value().number_is_integer);
+  EXPECT_TRUE(small.value().number_is_uint);
+  EXPECT_EQ(small.value().uint_value, 42u);
+
+  // Negative literals have no uint64 view (strtoull would negate them).
+  for (const char* text : {"-1", "-18446744073709551615"}) {
+    auto negative = parse_json(text);
+    ASSERT_TRUE(negative.is_ok()) << text;
+    EXPECT_FALSE(negative.value().number_is_uint) << text;
+  }
+  // Past 2^64 a literal is a plain number.
+  auto over = parse_json("18446744073709551616");
+  ASSERT_TRUE(over.is_ok());
+  EXPECT_FALSE(over.value().number_is_uint);
+  EXPECT_FALSE(over.value().number_is_integer);
+}
+
+TEST(JsonParse, RejectsDuplicateKeys) {
+  for (const char* text :
+       {"{\"a\":1,\"a\":2}", "{\"a\":1,\"b\":2,\"a\":1}",
+        "[{\"x\":{\"k\":true,\"k\":false}}]",
+        // Escapes decode before the comparison.
+        "{\"a\":1,\"\\u0061\":2}"}) {
+    const auto parsed = parse_json(text);
+    ASSERT_FALSE(parsed.is_ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("duplicate key \""),
+              std::string::npos)
+        << parsed.status().to_string();
+  }
+  // The same name in sibling objects is fine.
+  EXPECT_TRUE(parse_json("[{\"a\":1},{\"a\":2}]").is_ok());
+  EXPECT_TRUE(parse_json("{\"a\":{\"a\":1}}").is_ok());
 }
 
 TEST(JsonWriterDeathTest, RefusesNonFiniteDoubles) {

@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -186,6 +187,55 @@ TEST(RunReportSchema, AcceptsAndRejectsTimeseriesSection) {
                    "\"ticks\":0,\"uptime_ms\":[],\"nodes_total\":[],"
                    "\"frontier_size\":[],\"nodes_per_sec\":[]}"))
                    .is_ok());
+}
+
+// Histogram fields are uint64: a value in [2^63, 2^64) must round-trip
+// through the writer, the parser and the schema. Observing ~0 lands in the
+// top bucket (its quantiles are UINT64_MAX); two 2^62 samples make sum 2^63.
+TEST(RunReportSchema, AcceptsUint64HistogramValues) {
+  set_metrics_enabled(true);
+  Registry registry;
+  registry.histogram("t.top")->observe(~std::uint64_t{0});
+  registry.histogram("t.sum")->observe(std::uint64_t{1} << 62);
+  registry.histogram("t.sum")->observe(std::uint64_t{1} << 62);
+  RunReport report = sample_report();
+  report.metrics = registry.snapshot();
+  set_metrics_enabled(false);
+
+  const std::string json = report.to_json();
+  ASSERT_NE(json.find("18446744073709551615"), std::string::npos) << json;
+  ASSERT_NE(json.find("\"sum\":9223372036854775808"), std::string::npos)
+      << json;
+  const Status s = validate_run_report_json(json);
+  EXPECT_TRUE(s.is_ok()) << s.to_string();
+  const std::string path = ::testing::TempDir() + "/lbsa_obs_uint64.json";
+  const Status written = write_run_report(report, path);
+  EXPECT_TRUE(written.is_ok()) << written.to_string();
+  std::remove(path.c_str());
+
+  // The quantile-order rule compares as uint64: a top-bucket p99 followed
+  // by a smaller max is still out of order.
+  std::string disordered = json;
+  const std::string needle = "\"max\":18446744073709551615";
+  ASSERT_NE(disordered.find(needle), std::string::npos);
+  disordered.replace(disordered.find(needle), needle.size(), "\"max\":7");
+  const Status rejected = validate_run_report_json(disordered);
+  EXPECT_FALSE(rejected.is_ok());
+  EXPECT_NE(rejected.message().find("quantiles.max < p99"), std::string::npos)
+      << rejected.to_string();
+}
+
+TEST(RunReportSchema, RejectsDuplicateKeys) {
+  std::string json = sample_report().to_json();
+  const std::string needle = "\"tool\":\"unit_test\"";
+  ASSERT_NE(json.find(needle), std::string::npos);
+  json.replace(json.find(needle), needle.size(),
+               needle + ",\"tool\":\"other_tool\"");
+  const Status s = validate_run_report_json(json);
+  EXPECT_FALSE(s.is_ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("duplicate key \"tool\""), std::string::npos)
+      << s.to_string();
 }
 
 TEST(BenchArtifactSchema, AcceptsMergedArtifactAndRejectsBadRows) {

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -199,6 +200,42 @@ TEST(Protocol, RejectsThreadsOutOfRange) {
       ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
       EXPECT_EQ(std::to_string(parsed.value().threads), threads);
     }
+  }
+}
+
+TEST(Protocol, RejectsDuplicateKeys) {
+  // With a repeated member, the request parser and a validator using
+  // find() would read different values; the strict parser refuses both.
+  for (const char* line : {
+           R"({"serve_version":1,"op":"check","op":42,"id":"x","task":"dac3"})",
+           R"({"serve_version":1,"op":"check","id":"x","task":"dac3",)"
+           R"("threads":1,"threads":256})",
+       }) {
+    SCOPED_TRACE(line);
+    auto parsed = parse_request(line);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("duplicate key"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(Protocol, AcceptsFullUint64Range) {
+  auto parsed = parse_request(
+      R"({"serve_version":1,"op":"fuzz","id":"x","task":"strawdac3",)"
+      R"("seed":18446744073709551615,"runs":9223372036854775808})");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().seed, ~std::uint64_t{0});
+  EXPECT_EQ(parsed.value().runs, std::uint64_t{1} << 63);
+  // One past the range, and negatives, are still rejected by name.
+  for (const char* seed : {"18446744073709551616", "-1", "1.5"}) {
+    auto bad = parse_request(
+        std::string(R"({"serve_version":1,"op":"fuzz","id":"x",)") +
+        R"("task":"strawdac3","seed":)" + seed + "}");
+    ASSERT_FALSE(bad.is_ok()) << seed;
+    EXPECT_NE(bad.status().message().find("seed"), std::string::npos)
+        << bad.status().message();
   }
 }
 

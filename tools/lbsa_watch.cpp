@@ -42,22 +42,6 @@ int usage() {
   return 2;
 }
 
-// Rolling digest of every heartbeat line seen.
-struct WatchState {
-  bool any = false;
-  std::string run_id;
-  std::string tool;
-  std::string task;
-  std::uint64_t ticks = 0;
-  std::int64_t first_seq = 0;
-  std::int64_t last_seq = 0;
-  std::uint64_t nodes_total = 0;
-  std::uint64_t transitions_total = 0;
-  std::uint64_t levels_completed = 0;
-  double max_nodes_per_sec = 0.0;
-  bool final_seen = false;
-};
-
 std::string format_uptime(std::uint64_t ms) {
   char buf[32];
   const std::uint64_t s = ms / 1000;
@@ -119,7 +103,8 @@ int main(int argc, char** argv) {
                .count() > timeout_s;
   };
 
-  WatchState state;
+  obs::HeartbeatStreamChecker checker;
+  const obs::HeartbeatStreamChecker::Digest& digest = checker.digest();
   std::string carry;        // incomplete trailing line between reads
   std::size_t offset = 0;   // bytes of FILE consumed so far
   bool header_printed = false;
@@ -140,76 +125,23 @@ int main(int argc, char** argv) {
         carry.erase(0, nl + 1);
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
         auto parsed = obs::parse_json(line);
-        if (!parsed.is_ok() || !parsed.value().is_object()) {
+        if (!parsed.is_ok()) {
           std::fprintf(stderr, "lbsa_watch: %s: bad heartbeat line: %s\n",
-                       path,
-                       parsed.is_ok() ? "not an object"
-                                      : parsed.status().message().c_str());
+                       path, parsed.status().message().c_str());
           return 1;
         }
         const obs::JsonValue& hb = parsed.value();
-        // Validate the single line by running the stream validator over it;
-        // cross-line invariants (seq, monotonicity) are checked against the
-        // running state below.
-        if (const Status s = obs::validate_heartbeat_stream(line);
-            !s.is_ok()) {
+        if (const Status s = checker.feed(hb); !s.is_ok()) {
           std::fprintf(stderr, "lbsa_watch: %s: %s\n", path,
                        s.to_string().c_str());
           return 1;
         }
-        const std::string run_id = hb.find("run_id")->string_value;
-        const std::int64_t seq = hb.find("seq")->int_value;
-        const std::uint64_t nodes =
-            static_cast<std::uint64_t>(hb.find("nodes_total")->int_value);
-        const std::uint64_t transitions = static_cast<std::uint64_t>(
-            hb.find("transitions_total")->int_value);
-        if (!state.any) {
-          state.any = true;
-          state.run_id = run_id;
-          state.tool = hb.find("tool")->string_value;
-          state.task = hb.find("task")->string_value;
-          state.first_seq = seq;
-        } else {
-          if (run_id != state.run_id) {
-            std::fprintf(stderr, "lbsa_watch: %s: run_id changed mid-stream\n",
-                         path);
-            return 1;
-          }
-          if (seq != state.last_seq + 1) {
-            std::fprintf(stderr,
-                         "lbsa_watch: %s: seq %lld out of order (expected "
-                         "%lld)\n",
-                         path, static_cast<long long>(seq),
-                         static_cast<long long>(state.last_seq + 1));
-            return 1;
-          }
-          if (nodes < state.nodes_total ||
-              transitions < state.transitions_total) {
-            std::fprintf(stderr,
-                         "lbsa_watch: %s: cumulative counter decreased\n",
-                         path);
-            return 1;
-          }
-        }
-        state.last_seq = seq;
-        state.nodes_total = nodes;
-        state.transitions_total = transitions;
-        state.levels_completed =
-            static_cast<std::uint64_t>(hb.find("levels_completed")->int_value);
-        const double rate = hb.find("nodes_per_sec")->number_value;
-        if (rate > state.max_nodes_per_sec) state.max_nodes_per_sec = rate;
-        ++state.ticks;
-        const bool final_line =
-            hb.find("final")->kind == obs::JsonValue::Kind::kBool &&
-            hb.find("final")->bool_value;
-        if (final_line) state.final_seen = true;
-
         if (!quiet) {
           if (!header_printed) {
             header_printed = true;
             std::printf("watching %s: %s/%s run %s\n", path,
-                        state.tool.c_str(), state.task.c_str(),
-                        state.run_id.c_str());
+                        digest.tool.c_str(), digest.task.c_str(),
+                        digest.run_id.c_str());
             std::printf("%6s %9s %12s %12s %10s %6s %8s %6s\n", "seq",
                         "uptime", "nodes", "nodes/s", "frontier", "levels",
                         "eta", "busy");
@@ -225,65 +157,36 @@ int main(int argc, char** argv) {
           std::size_t busy = 0;
           const obs::JsonValue* workers = hb.find("workers");
           for (const obs::JsonValue& slot : workers->array) {
-            if (slot.find("busy")->int_value != 0) ++busy;
+            if (slot.find("busy")->uint_value != 0) ++busy;
           }
-          std::printf("%6lld %9s %12llu %12.0f %10llu %6llu %8s %3zu/%-2zu%s\n",
-                      static_cast<long long>(seq),
-                      format_uptime(static_cast<std::uint64_t>(
-                                        hb.find("uptime_ms")->int_value))
-                          .c_str(),
-                      static_cast<unsigned long long>(nodes),
+          std::printf("%6llu %9s %12llu %12.0f %10llu %6llu %8s %3zu/%-2zu%s\n",
+                      static_cast<unsigned long long>(digest.last_seq),
+                      format_uptime(hb.find("uptime_ms")->uint_value).c_str(),
+                      static_cast<unsigned long long>(digest.nodes_total),
                       hb.find("nodes_per_sec")->number_value,
                       static_cast<unsigned long long>(
-                          hb.find("frontier_size")->int_value),
-                      static_cast<unsigned long long>(state.levels_completed),
+                          hb.find("frontier_size")->uint_value),
+                      static_cast<unsigned long long>(digest.levels_completed),
                       eta_buf, busy, workers->array.size(),
-                      final_line ? "  [final]" : "");
+                      hb.find("final")->bool_value ? "  [final]" : "");
           std::fflush(stdout);
         }
       }
     }
-    if (state.final_seen) break;
+    if (digest.final_seen) break;
     if (timed_out()) {
       std::fprintf(stderr,
                    "lbsa_watch: %s: timed out after %.1fs (%llu heartbeats, "
                    "no final line)\n",
                    path, timeout_s,
-                   static_cast<unsigned long long>(state.ticks));
+                   static_cast<unsigned long long>(digest.ticks));
       return 1;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
   }
 
   if (!summary_path.empty()) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("heartbeat_summary_version");
-    w.value_int(obs::kHeartbeatSummarySchemaVersion);
-    w.key("run_id");
-    w.value_string(state.run_id);
-    w.key("tool");
-    w.value_string(state.tool);
-    w.key("task");
-    w.value_string(state.task);
-    w.key("ticks");
-    w.value_uint(state.ticks);
-    w.key("first_seq");
-    w.value_int(state.first_seq);
-    w.key("last_seq");
-    w.value_int(state.last_seq);
-    w.key("nodes_total");
-    w.value_uint(state.nodes_total);
-    w.key("transitions_total");
-    w.value_uint(state.transitions_total);
-    w.key("levels_completed");
-    w.value_uint(state.levels_completed);
-    w.key("max_nodes_per_sec");
-    w.value_double(state.max_nodes_per_sec);
-    w.key("final_seen");
-    w.value_bool(state.final_seen);
-    w.end_object();
-    std::string json = std::move(w).str();
+    std::string json = checker.summary_json();
     // Self-check before writing: this binary never leaves a digest behind
     // that `report_check heartbeat` would reject.
     if (const Status s = obs::validate_heartbeat_summary_json(json);

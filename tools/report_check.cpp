@@ -18,52 +18,30 @@
 #include <string>
 
 #include "obs/heartbeat.h"
-#include "obs/json.h"
 #include "obs/report.h"
+#include "obs/schema.h"
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: report_check run-report FILE...\n"
-               "       report_check bench FILE...\n"
-               "       report_check hierarchy FILE...\n"
-               "       report_check trace FILE...\n"
-               "       report_check heartbeat FILE...\n");
-  return 2;
-}
+using Validator = lbsa::Status (*)(std::string_view);
 
-// Minimal structural check of a Chrome trace-event file: a top-level object
-// with a traceEvents array whose entries are objects carrying name/ph/pid.
-lbsa::Status validate_trace_json(std::string_view json) {
-  using lbsa::obs::JsonValue;
-  auto parsed = lbsa::obs::parse_json(json);
-  if (!parsed.is_ok()) return parsed.status();
-  const JsonValue& root = parsed.value();
-  if (!root.is_object()) {
-    return lbsa::invalid_argument("trace: document not an object");
+constexpr struct {
+  const char* mode;
+  Validator validate;
+} kModes[] = {
+    {"run-report", lbsa::obs::validate_run_report_json},
+    {"bench", lbsa::obs::validate_bench_artifact_json},
+    {"hierarchy", lbsa::obs::validate_hierarchy_artifact_json},
+    {"trace", lbsa::obs::validate_trace_json},
+    {"heartbeat", lbsa::obs::validate_heartbeat_file},
+};
+
+int usage() {
+  for (const auto& m : kModes) {
+    std::fprintf(stderr, "%s report_check %s FILE...\n",
+                 m.mode == kModes[0].mode ? "usage:" : "      ", m.mode);
   }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return lbsa::invalid_argument("trace: traceEvents missing or not an array");
-  }
-  for (const JsonValue& event : events->array) {
-    if (!event.is_object()) {
-      return lbsa::invalid_argument("trace: event not an object");
-    }
-    for (const char* key : {"name", "ph"}) {
-      const JsonValue* field = event.find(key);
-      if (field == nullptr || !field->is_string()) {
-        return lbsa::invalid_argument(std::string("trace: event missing ") +
-                                      key);
-      }
-    }
-    if (const JsonValue* pid = event.find("pid");
-        pid == nullptr || !pid->is_number()) {
-      return lbsa::invalid_argument("trace: event missing pid");
-    }
-  }
-  return lbsa::Status::ok();
+  return 2;
 }
 
 }  // namespace
@@ -71,12 +49,11 @@ lbsa::Status validate_trace_json(std::string_view json) {
 int main(int argc, char** argv) {
   using namespace lbsa;
   if (argc < 3) return usage();
-  const char* mode = argv[1];
-  if (std::strcmp(mode, "run-report") != 0 && std::strcmp(mode, "bench") != 0 &&
-      std::strcmp(mode, "hierarchy") != 0 && std::strcmp(mode, "trace") != 0 &&
-      std::strcmp(mode, "heartbeat") != 0) {
-    return usage();
+  Validator validate = nullptr;
+  for (const auto& m : kModes) {
+    if (!std::strcmp(argv[1], m.mode)) validate = m.validate;
   }
+  if (validate == nullptr) return usage();
 
   bool all_ok = true;
   for (int i = 2; i < argc; ++i) {
@@ -88,25 +65,11 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const std::string text = buffer.str();
-
-    Status s;
-    if (!std::strcmp(mode, "run-report")) {
-      s = obs::validate_run_report_json(text);
-    } else if (!std::strcmp(mode, "bench")) {
-      s = obs::validate_bench_artifact_json(text);
-    } else if (!std::strcmp(mode, "hierarchy")) {
-      s = obs::validate_hierarchy_artifact_json(text);
-    } else if (!std::strcmp(mode, "heartbeat")) {
-      s = obs::validate_heartbeat_file(text);
-    } else {
-      s = validate_trace_json(text);
-    }
-    if (s.is_ok()) {
-      std::printf("%s: OK\n", argv[i]);
-    } else {
+    if (const Status s = validate(buffer.str()); !s.is_ok()) {
       std::fprintf(stderr, "%s: %s\n", argv[i], s.to_string().c_str());
       all_ok = false;
+    } else {
+      std::printf("%s: OK\n", argv[i]);
     }
   }
   return all_ok ? 0 : 1;

@@ -5,6 +5,7 @@
 # the final heartbeat, and writes a --summary-json digest. `report_check
 # heartbeat` then validates both artifacts, and the digest's totals are
 # cross-checked against the stream's last line.
+# A stream whose task drifts mid-stream must make lbsa_watch exit 1.
 #
 # Usage: tools/watch_smoke_e2e.sh [build-dir]
 #   WATCH_TASK   task to run (default dac5 — long enough for the watcher to
@@ -82,4 +83,23 @@ if (( lines < 2 )); then
   echo "error: expected a multi-line stream, got $lines line(s)" >&2
   exit 1
 fi
-echo "ok: watched $lines heartbeats live; stream + digest validate"
+
+# The watcher applies the same stream checks as `report_check heartbeat`: a
+# stream whose task changes mid-stream must be refused even when it ends in
+# a final line.
+DRIFT="$TMP/drift.jsonl"
+head -n 1 "$HB" > "$DRIFT"
+sed -n 2p "$HB" |
+  sed -E 's/"task":"[^"]*"/"task":"drifted"/; s/"final":false/"final":true/' \
+  >> "$DRIFT"
+if "$WATCH" "$DRIFT" --timeout-s 5 --quiet 2> "$TMP/drift.err"; then
+  echo "error: lbsa_watch accepted a stream whose task changed" >&2
+  exit 1
+fi
+grep -q "task changed mid-stream" "$TMP/drift.err" || {
+  echo "error: lbsa_watch rejected the drifted stream for another reason:" >&2
+  cat "$TMP/drift.err" >&2
+  exit 1
+}
+echo "ok: watched $lines heartbeats live; stream + digest validate;" \
+     "task drift refused"

@@ -64,6 +64,7 @@ TaskCheckOptions make_check_options(const SweepOptions& options,
   check.explore.reduction = reduction;
   check.explore.canonicalizer = cell.canonicalizer;
   check.explore.canon_cache_pool = cell.pool;
+  check.explore.progress = options.progress;
   return check;
 }
 

@@ -46,6 +46,9 @@ struct SweepOptions {
   // always come from the pinned symmetry-reduced exploration, keeping the
   // rows document byte-identical whether or not a cross-check ran.
   std::optional<modelcheck::Reduction> cross_check;
+  // Every cell's exploration adds to this Progress (non-owning; null =
+  // unobserved), so one heartbeat stream shows sweep-wide totals.
+  obs::Progress* progress = nullptr;
 };
 
 // Statistics of one exhaustively checked task instance (complete graph,

@@ -84,43 +84,25 @@ void record_graph_metrics(const ConfigGraph& graph) {
   }
 }
 
-// Live telemetry (obs/heartbeat.h). Progress counters are process-cumulative
-// — hierarchy sweeps accumulate across cells, and on resume the CLI seeds
-// the checkpoint's totals before calling explore — so each engine captures
-// the entry values and publishes base + its session's delta through
-// Progress::raise (monotone even when work-stealing workers race stale
-// absolutes). Gated on heartbeat_enabled(): an un-observed run pays one
-// relaxed load at each quiescence point.
-struct LiveProgress {
-  bool on = false;
-  std::uint64_t nodes_base = 0;
-  std::uint64_t transitions_base = 0;
+// Live telemetry into ExploreOptions::progress (obs/heartbeat.h): each
+// publisher adds the growth of its own count since its last publish, so a
+// work-stealing pool's workers and runs sharing one Progress (a sweep's
+// cells) compose without coordination. A count that shrank (a rolled-back
+// partial level) adds nothing: cumulative counters never decrease.
+void publish_delta(std::atomic<std::uint64_t>& cell, std::uint64_t now,
+                   std::uint64_t* published) {
+  if (now <= *published) return;
+  cell.fetch_add(now - *published, std::memory_order_relaxed);
+  *published = now;
+}
 
-  static LiveProgress capture() {
-    LiveProgress live;
-    live.on = obs::heartbeat_enabled();
-    if (live.on) {
-      obs::Progress& p = obs::Progress::global();
-      live.nodes_base = p.nodes_total.load(std::memory_order_relaxed);
-      live.transitions_base =
-          p.transitions_total.load(std::memory_order_relaxed);
-    }
-    return live;
-  }
-
-  // `session_nodes`/`session_transitions` count work done this session only
-  // (the resumed prefix is already in the base via the CLI's seeding).
-  void publish(std::uint64_t session_nodes, std::uint64_t session_transitions,
-               std::uint64_t levels, std::uint64_t frontier) const {
-    if (!on) return;
-    obs::Progress& p = obs::Progress::global();
-    obs::Progress::raise(p.nodes_total, nodes_base + session_nodes);
-    obs::Progress::raise(p.transitions_total,
-                         transitions_base + session_transitions);
-    p.levels_completed.store(levels, std::memory_order_relaxed);
-    p.frontier_size.store(frontier, std::memory_order_relaxed);
-  }
-};
+// The gauges of where a run stands; no-op for an unobserved run.
+void publish_position(obs::Progress* progress, std::uint64_t levels,
+                      std::uint64_t frontier) {
+  if (progress == nullptr) return;
+  progress->levels_completed.store(levels, std::memory_order_relaxed);
+  progress->frontier_size.store(frontier, std::memory_order_relaxed);
+}
 
 // Frontier items claimed per grab/steal in the work-stealing engine. Sized
 // so a chunk's successors (a handful per item) form per-shard intern
@@ -170,9 +152,9 @@ Status write_checkpoint(const ConfigGraph& graph,
                         const ExploreOptions& options, bool has_flag_fn,
                         std::int64_t initial_flag) {
   LBSA_OBS_COUNTER_ADD_V("explore.checkpoint.writes", 1);
-  if (obs::heartbeat_enabled()) {
-    obs::Progress::global().checkpoint_writes.fetch_add(
-        1, std::memory_order_relaxed);
+  if (options.progress != nullptr) {
+    options.progress->checkpoint_writes.fetch_add(1,
+                                                  std::memory_order_relaxed);
   }
   ExploreCheckpoint cp;
   cp.fingerprint = fingerprint;
@@ -321,12 +303,22 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     frontier.push_back(0);
   }
 
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(0);
-  const std::uint64_t prefix_nodes =
+  obs::Progress* const progress = options.progress;
+  if (progress != nullptr) progress->configure_workers(0);
+  // What this engine has added to `progress` (explore() added the resumed
+  // prefix).
+  std::uint64_t published_nodes =
       options.resume != nullptr ? options.resume->node_words.size() : 0;
-  const std::uint64_t prefix_transitions =
+  std::uint64_t published_transitions =
       options.resume != nullptr ? options.resume->transition_count : 0;
+  auto publish = [&](std::uint64_t levels, std::uint64_t frontier_size) {
+    if (progress == nullptr) return;
+    publish_delta(progress->nodes_total, graph.nodes_.size(),
+                  &published_nodes);
+    publish_delta(progress->transitions_total, graph.transition_count_,
+                  &published_transitions);
+    publish_position(progress, levels, frontier_size);
+  };
   std::uint64_t pops = 0;
 
   // One "explore.level" phase event per BFS level. The frontier is a FIFO,
@@ -397,9 +389,7 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
       // deque holds exactly the depth-`depth` nodes in ascending id order —
       // the one state a checkpoint can represent and a resume can
       // reproduce. All lifecycle actions happen here and only here.
-      live.publish(graph.nodes_.size() - prefix_nodes,
-                   graph.transition_count_ - prefix_transitions, depth,
-                   frontier.size());
+      publish(depth, frontier.size());
       if (sym != nullptr) add_canon_metrics(canon_scratch, &canon_seen);
       const std::uint32_t session_levels = depth - start_depth;
       if (stop_reason(options, session_levels) != StopReason::kNone) {
@@ -430,13 +420,11 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     frontier.pop_front();
     ++pops;
     // Mid-level cadence so heartbeats move inside long levels; every 512
-    // pops keeps the relaxed-load guard the only cost when unobserved and
+    // pops keeps the null-pointer branch the only cost when unobserved and
     // bounds the publication lag behind actual interning to well under the
     // work-stealing engine's per-worker chunk cadence times its pool width.
-    if (live.on && (pops & 0x1FFu) == 0) {
-      live.publish(graph.nodes_.size() - prefix_nodes,
-                   graph.transition_count_ - prefix_transitions, span_depth,
-                   frontier.size());
+    if (progress != nullptr && (pops & 0x1FFu) == 0) {
+      publish(span_depth, frontier.size());
     }
     // Mid-level lifecycle poll, every kChunk pops (matching the
     // work-stealing engine's work-chunk cadence). max_levels stays
@@ -515,9 +503,7 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     graph.levels_completed_ =
         graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
   }
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count_ - prefix_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
+  publish(graph.levels_completed_, graph.pending_frontier_.size());
   if (sym != nullptr) add_canon_metrics(canon_scratch, &canon_seen);
   LBSA_CHECK(graph.nodes_.size() == graph.edges_.size() &&
              graph.nodes_.size() == graph.parents_.size());
@@ -822,8 +808,9 @@ struct ParallelWorker {
   std::uint64_t expanded = 0;
   std::uint64_t steals = 0;
   std::uint64_t steal_misses = 0;  // full sweeps that found nothing
-  // What this worker already published (heartbeat slot, canon counters).
+  // What this worker already published (Progress, canon counters).
   std::uint64_t seen_cas_retries = 0;
+  std::uint64_t seen_inserts = 0;
   std::uint64_t seen_edges = 0;
   CanonSeen canon_seen;
 };
@@ -1251,9 +1238,16 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
   // Changed only between rounds, while no worker runs.
   std::uint32_t pause_level = next_pause(seed.start_depth);
 
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(threads);
-  const std::uint64_t prefix_nodes = seed.prefix_prov.size();
+  // Each worker adds its own fresh inserts and edge-pool growth to
+  // `progress`; explore() added a resumed prefix, and a fresh run's root is
+  // published here.
+  obs::Progress* const progress = options.progress;
+  if (progress != nullptr) {
+    progress->configure_workers(threads);
+    if (options.resume == nullptr) {
+      progress->nodes_total.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   name_trace_lanes(threads);
 
@@ -1293,7 +1287,7 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
     ParallelWorker& w = workers[static_cast<std::size_t>(widx)];
     obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
     obs::Progress::WorkerSlot* slot =
-        live.on ? obs::Progress::global().worker(widx) : nullptr;
+        progress != nullptr ? progress->worker(widx) : nullptr;
     const std::uint64_t expanded_before = w.expanded;
     std::vector<WorkItem> chunk;
     auto emit = [&](WorkItem&& item) {
@@ -1362,29 +1356,25 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
       if (sym != nullptr) {
         add_canon_metrics(*w.ex.canon_scratch(), &w.canon_seen);
       }
+      // Work-chunk boundary: this engine's live-publication point.
+      if (progress != nullptr) {
+        publish_delta(progress->nodes_total, w.ex.tally().inserts,
+                      &w.seen_inserts);
+        publish_delta(progress->transitions_total, w.sink.pool.size(),
+                      &w.seen_edges);
+        const std::int64_t pending =
+            in_flight.load(std::memory_order_relaxed);
+        progress->frontier_size.store(
+            pending > 0 ? static_cast<std::uint64_t>(pending) : 0,
+            std::memory_order_relaxed);
+      }
       if (slot != nullptr) {
-        // Work-chunk boundary: this engine's live-publication point. Nodes
-        // go through raise() (concurrent absolute republications of
-        // table.size() race; a stale smaller one must not un-publish) while
-        // transitions accumulate per-worker pool deltas.
         slot->busy.store(0, std::memory_order_relaxed);
         slot->expanded.fetch_add(chunk.size(), std::memory_order_relaxed);
         const std::uint64_t cas_retries = w.ex.tally().cas_retries;
         slot->cas_retries.fetch_add(cas_retries - w.seen_cas_retries,
                                     std::memory_order_relaxed);
         w.seen_cas_retries = cas_retries;
-        obs::Progress& p = obs::Progress::global();
-        const std::uint64_t edges = w.sink.pool.size();
-        p.transitions_total.fetch_add(edges - w.seen_edges,
-                                      std::memory_order_relaxed);
-        w.seen_edges = edges;
-        obs::Progress::raise(p.nodes_total,
-                             live.nodes_base + table.size() - prefix_nodes);
-        const std::int64_t pending =
-            in_flight.load(std::memory_order_relaxed);
-        p.frontier_size.store(
-            pending > 0 ? static_cast<std::uint64_t>(pending) : 0,
-            std::memory_order_relaxed);
       }
       if (!ok) {
         exhausted.store(true, std::memory_order_relaxed);
@@ -1438,9 +1428,7 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
         snapshot.graph, canonical_frontier(parked, snapshot.canon),
         pause_level, fingerprint, options, flag_fn != nullptr, initial_flag);
     if (!checkpoint_status.is_ok()) break;
-    live.publish(snapshot.graph.nodes().size() - prefix_nodes,
-                 snapshot.graph.transition_count() - seed.base_transitions,
-                 pause_level, parked.size());
+    publish_position(progress, pause_level, parked.size());
     pause_level = next_pause(pause_level);
     enqueue(&parked);
   }
@@ -1493,9 +1481,8 @@ StatusOr<ConfigGraph> Explorer::explore_work_stealing(
                       options.resume == nullptr,
                       trimmed ? graph.levels_completed_
                               : std::numeric_limits<std::uint32_t>::max());
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count() - seed.base_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
+  publish_position(progress, graph.levels_completed_,
+                   graph.pending_frontier_.size());
   record_graph_metrics(graph);
   return graph;
 }
@@ -1740,6 +1727,18 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
       sym->group_size() >= kCanonCacheMinGroup) {
     opts.canon_cache_pool =
         std::make_shared<sim::CanonCachePool>(opts.canon_cache_bytes);
+  }
+
+  // A resumed run continues the interrupted run's cumulative counts; the
+  // engines publish only what they add to the prefix.
+  if (obs::Progress* progress = options.progress;
+      progress != nullptr && options.resume != nullptr) {
+    const ExploreCheckpoint& cp = *options.resume;
+    progress->nodes_total.fetch_add(cp.node_words.size(),
+                                    std::memory_order_relaxed);
+    progress->transitions_total.fetch_add(cp.transition_count,
+                                          std::memory_order_relaxed);
+    publish_position(progress, cp.levels_completed, cp.frontier.size());
   }
 
   // kAuto: one worker runs the serial reference engine, more run work

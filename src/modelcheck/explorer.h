@@ -27,6 +27,10 @@
 #include "sim/protocol.h"
 #include "sim/symmetry.h"
 
+namespace lbsa::obs {
+class Progress;  // obs/heartbeat.h
+}  // namespace lbsa::obs
+
 namespace lbsa::modelcheck {
 
 struct ExploreCheckpoint;  // modelcheck/checkpoint.h
@@ -191,6 +195,9 @@ struct ExploreOptions {
   // initial flag — enforced via the checkpoint fingerprint, returning
   // FAILED_PRECONDITION on mismatch); engine/threads may differ freely.
   const ExploreCheckpoint* resume = nullptr;
+  // The run's live Progress (non-owning; null = unobserved): engines add
+  // their counts to it, a resumed run starting at the checkpoint's totals.
+  obs::Progress* progress = nullptr;
 };
 
 // One directed edge of the configuration graph.

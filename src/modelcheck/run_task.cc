@@ -321,7 +321,12 @@ TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec) {
   }
   result.report_valid = true;
 
-  if (report.partial) {
+  if (report.interrupted) {
+    result.exit_code = 4;
+    result.error = task.name +
+                   ": interrupted before exploration completed: the verdict "
+                   "covers only the explored prefix";
+  } else if (report.partial) {
     result.exit_code = 3;
     result.error = task.name +
                    ": truncated exploration: property verdicts that rely on "

@@ -378,7 +378,8 @@ StatusOr<TaskReport> check_k_agreement_task(
   report.node_count = graph.nodes().size();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
-  report.partial = graph.truncated();
+  report.interrupted = graph.interrupted();
+  report.partial = graph.truncated() || report.interrupted;
 
   const std::set<Value> input_set(inputs.begin(), inputs.end());
 
@@ -469,7 +470,8 @@ StatusOr<TaskReport> check_dac_task(
   report.node_count = graph.nodes().size();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
-  report.partial = graph.truncated();
+  report.interrupted = graph.interrupted();
+  report.partial = graph.truncated() || report.interrupted;
 
   {
     LBSA_OBS_SPAN(span, "check.properties", obs::kCatPhase, /*lane=*/0);

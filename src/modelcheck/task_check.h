@@ -61,9 +61,12 @@ struct TaskReport {
   // it without re-exploring the full graph.
   std::uint64_t full_node_estimate = 0;
   // True iff the underlying exploration was truncated (see
-  // ExploreOptions::allow_truncation): violations are real, but a clean
-  // report certifies only the explored region.
+  // ExploreOptions::allow_truncation) or interrupted: violations are real,
+  // but a clean report certifies only the explored region.
   bool partial = false;
+  // True iff the exploration stopped early at a level boundary (cancel,
+  // deadline or max_levels; implies partial).
+  bool interrupted = false;
 
   bool ok() const { return violations.empty(); }
   // True iff some violation is for `property`.

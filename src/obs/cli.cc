@@ -100,6 +100,7 @@ Status ObsCli::start_heartbeat(const std::string& task,
                                const std::string& run_id) {
   if (!heartbeat_requested()) return Status::ok();
   HeartbeatOptions options;
+  options.progress = &progress_;
   options.path = heartbeat_path_;
   options.tool = tool_;
   options.task = task;

@@ -8,6 +8,7 @@
 //     ... tool-specific flags ...
 //   }
 //   obs_cli.start_heartbeat(task, obs::derive_run_id(...));
+//   explore_options.progress = obs_cli.progress();
 //   ... run the workload, filling an obs::RunReport skeleton ...
 //   if (Status s = obs_cli.finish(&report); !s.is_ok()) { ... }
 //
@@ -15,10 +16,10 @@
 // `--metrics-json PATH`, `--trace-out PATH`, `--heartbeat-out PATH`, and
 // `--heartbeat-every SECONDS`, and flips the corresponding global sink on,
 // so instrumentation in the libraries starts recording. `--heartbeat-out`
-// arms only the engines' Progress publishing (heartbeat_enabled()), not the
-// metrics registry — the sampler snapshots whatever the registry holds, so
-// combine with --metrics-json to get registry rows inside heartbeat lines;
-// alone it keeps sampling overhead under the perf gate's 2%. finish() stops the
+// hands the engines this object's Progress (progress()), not the metrics
+// registry — the sampler snapshots whatever the registry holds, so combine
+// with --metrics-json to get registry rows inside heartbeat lines; alone it
+// keeps sampling overhead under the perf gate's 2%. finish() stops the
 // heartbeat sampler (appending its "final":true line), stamps wall time and
 // the metrics snapshot into the report plus a "timeseries" section built
 // from the captured ticks, then writes the RunReport (schema-validated) and
@@ -62,6 +63,9 @@ class ObsCli {
   std::uint64_t heartbeat_interval_ms() const {
     return heartbeat_interval_ms_;
   }
+  // The Progress the sampler reads, for ExploreOptions::progress; nullptr
+  // (runs stay unobserved) unless --heartbeat-out was given.
+  Progress* progress() { return heartbeat_requested() ? &progress_ : nullptr; }
 
   // Opens the heartbeat stream and starts the background sampler. No-op
   // (ok) unless --heartbeat-out was given. The run_id should come from
@@ -85,6 +89,7 @@ class ObsCli {
   std::uint64_t heartbeat_interval_ms_ = 1000;
   bool disabled_ = false;        // LBSA_OBS_DISABLED kill switch
   bool disabled_warned_ = false;
+  Progress progress_;  // outlives heartbeat_, which samples it
   std::unique_ptr<HeartbeatSampler> heartbeat_;
   std::chrono::steady_clock::time_point start_;
 };

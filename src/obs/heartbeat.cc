@@ -20,11 +20,6 @@ namespace lbsa::obs {
 // Progress
 // ---------------------------------------------------------------------------
 
-Progress& Progress::global() {
-  static Progress* progress = new Progress();  // leaked: process lifetime
-  return *progress;
-}
-
 void Progress::configure_workers(int n) {
   if (n < 0) n = 0;
   if (n > kProgressMaxWorkers) n = kProgressMaxWorkers;
@@ -35,31 +30,9 @@ void Progress::configure_workers(int n) {
                       std::memory_order_release);
 }
 
-Progress::WorkerSlot* Progress::worker(int i) {
+const Progress::WorkerSlot* Progress::worker(int i) const {
   if (i < 0 || i >= worker_count() || i >= kProgressMaxWorkers) return nullptr;
   return &slots_[i];
-}
-
-void Progress::raise(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
-  std::uint64_t cur = cell.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !cell.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void Progress::reset() {
-  nodes_total.store(0, std::memory_order_relaxed);
-  transitions_total.store(0, std::memory_order_relaxed);
-  levels_completed.store(0, std::memory_order_relaxed);
-  frontier_size.store(0, std::memory_order_relaxed);
-  checkpoint_writes.store(0, std::memory_order_relaxed);
-  worker_count_.store(0, std::memory_order_relaxed);
-  for (WorkerSlot& slot : slots_) {
-    slot.busy.store(0, std::memory_order_relaxed);
-    slot.expanded.store(0, std::memory_order_relaxed);
-    slot.steals.store(0, std::memory_order_relaxed);
-    slot.cas_retries.store(0, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -118,23 +91,6 @@ std::string_view last_line(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-// heartbeat_enabled is process-global, but a server process runs many
-// samplers concurrently (one per request). Refcount the holders so one
-// request finishing does not turn off engine publishing for its neighbors:
-// the flag flips off only when the last sampler stops.
-std::atomic<int> g_enabled_holders{0};
-
-void acquire_heartbeat_enabled() {
-  g_enabled_holders.fetch_add(1, std::memory_order_relaxed);
-  set_heartbeat_enabled(true);
-}
-
-void release_heartbeat_enabled() {
-  if (g_enabled_holders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    set_heartbeat_enabled(false);
-  }
-}
-
 }  // namespace
 
 HeartbeatSampler::HeartbeatSampler(HeartbeatOptions options)
@@ -146,14 +102,15 @@ HeartbeatSampler::HeartbeatSampler(HeartbeatOptions options)
 HeartbeatSampler::~HeartbeatSampler() { (void)stop(); }
 
 Status HeartbeatSampler::open() {
+  if (options_.progress == nullptr) {
+    return invalid_argument("heartbeat: no Progress to sample");
+  }
   if (options_.sink) {
     // Sink mode: lines go to the callback, no file, no continuation check
     // (the caller owns the transport and its history).
     if (sink_open_) return Status::ok();
     sink_open_ = true;
     start_ms_ = options_.clock_ms();
-    acquire_heartbeat_enabled();
-    enabled_held_ = true;
     return Status::ok();
   }
   if (options_.path.empty()) {
@@ -198,8 +155,6 @@ Status HeartbeatSampler::open() {
                           "' for append");
   }
   start_ms_ = options_.clock_ms();
-  acquire_heartbeat_enabled();
-  enabled_held_ = true;
   return Status::ok();
 }
 
@@ -209,7 +164,7 @@ void HeartbeatSampler::write_tick(bool final) {
   const std::uint64_t now = options_.clock_ms();
   const std::uint64_t uptime = now >= start_ms_ ? now - start_ms_ : 0;
 
-  Progress& progress = Progress::global();
+  const Progress& progress = *options_.progress;
   const std::uint64_t nodes =
       progress.nodes_total.load(std::memory_order_relaxed);
   const std::uint64_t transitions =
@@ -282,7 +237,7 @@ void HeartbeatSampler::write_tick(bool final) {
   w.begin_array();
   const int workers = progress.worker_count();
   for (int i = 0; i < workers; ++i) {
-    Progress::WorkerSlot* slot = progress.worker(i);
+    const Progress::WorkerSlot* slot = progress.worker(i);
     if (slot == nullptr) break;
     w.begin_object();
     w.key("busy");
@@ -399,10 +354,6 @@ Status HeartbeatSampler::stop() {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
     running_ = false;
-  }
-  if (enabled_held_) {
-    enabled_held_ = false;
-    release_heartbeat_enabled();
   }
   return Status::ok();
 }

@@ -1,7 +1,7 @@
 // Live run telemetry (docs/observability.md, "Heartbeats"): a sampler that
 // appends one strict-JSON line per tick to a JSONL stream while a run is in
-// flight, plus the process-wide Progress state the exploration engines
-// publish into.
+// flight, plus the per-run Progress object the exploration engines publish
+// into and the sampler reads.
 //
 // The heartbeat stream is the push counterpart of the pull-style RunReport:
 // a RunReport describes a finished run, a heartbeat stream describes a run
@@ -15,9 +15,9 @@
 // Continuity across checkpoint/resume: the run_id is derived from the
 // stable run inputs (derive_run_id), so a resumed run appending to the same
 // stream produces a verifiable continuation — the sampler picks up the
-// sequence numbering after the last line, and the engines seed cumulative
-// counters from the checkpoint so nodes_total/transitions_total stay
-// monotone across the splice. uptime_ms and checkpoint_writes are
+// sequence numbering after the last line, and the engine starts the resumed
+// run's Progress at the checkpoint's totals so nodes_total/transitions_total
+// stay monotone across the splice. uptime_ms and checkpoint_writes are
 // per-session and intentionally excluded from the monotonicity checks.
 #ifndef LBSA_OBS_HEARTBEAT_H_
 #define LBSA_OBS_HEARTBEAT_H_
@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -44,35 +45,17 @@ inline constexpr int kHeartbeatSummarySchemaVersion = 1;
 // fixed cap keeps the slots allocation-free and index-stable for samplers.
 inline constexpr int kProgressMaxWorkers = 64;
 
-// Process-wide heartbeat switch, mirroring metrics_enabled(): engines
-// publish live Progress only while some sampler is active, so the fast
-// path of an un-observed run is a single relaxed load.
-namespace internal_heartbeat {
-inline std::atomic<bool>& heartbeat_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-}  // namespace internal_heartbeat
-
-inline bool heartbeat_enabled() {
-  return internal_heartbeat::heartbeat_flag().load(std::memory_order_relaxed);
-}
-inline void set_heartbeat_enabled(bool enabled) {
-  internal_heartbeat::heartbeat_flag().store(enabled,
-                                             std::memory_order_relaxed);
-}
-
-// Live run-lifecycle state, written by the exploration engines at their
-// natural quiescence points (level boundaries, work-chunk boundaries) and
-// read by the heartbeat sampler thread. nodes_total and transitions_total
-// are CUMULATIVE for the process (a hierarchy sweep's cells accumulate;
-// resumed runs are seeded with the checkpoint's totals), so sampled values
-// are non-decreasing — the invariant `report_check heartbeat` enforces.
+// Live state of one run, owned by whoever owns the run (an ObsCli, a server
+// request, a test), written by the engines at quiescence points
+// (ExploreOptions::progress) and read by the sampler thread
+// (HeartbeatOptions::progress). nodes_total and transitions_total are
+// CUMULATIVE: each publisher adds what it did since its last publish, so
+// work-stealing workers and runs sharing one object (a sweep's cells)
+// compose, and the values never decrease — the invariant `report_check
+// heartbeat` enforces. They equal a complete run's graph totals.
 // levels_completed and frontier_size are gauges of the current exploration.
 class Progress {
  public:
-  static Progress& global();
-
   struct WorkerSlot {
     std::atomic<std::uint64_t> busy{0};      // 1 while expanding a chunk
     std::atomic<std::uint64_t> expanded{0};  // nodes expanded (this engine)
@@ -94,15 +77,10 @@ class Progress {
     return static_cast<int>(worker_count_.load(std::memory_order_acquire));
   }
   // nullptr when i is outside [0, min(worker_count, kProgressMaxWorkers)).
-  WorkerSlot* worker(int i);
-
-  // Monotone store: raises `cell` to at least `value` (CAS loop). The
-  // work-stealing engine's workers race absolute republications through
-  // this so a stale smaller value can never un-publish a larger one.
-  static void raise(std::atomic<std::uint64_t>& cell, std::uint64_t value);
-
-  // Zeroes everything (tests / fresh sessions). Establish quiescence first.
-  void reset();
+  const WorkerSlot* worker(int i) const;
+  WorkerSlot* worker(int i) {
+    return const_cast<WorkerSlot*>(std::as_const(*this).worker(i));
+  }
 
  private:
   std::atomic<std::uint32_t> worker_count_{0};
@@ -126,6 +104,9 @@ std::string derive_run_id(std::string_view tool, std::string_view task,
                           std::string_view nonce = {});
 
 struct HeartbeatOptions {
+  // The run's live state, sampled on every tick (non-owning, required; must
+  // outlive the sampler).
+  const Progress* progress = nullptr;
   std::string path;  // JSONL stream, opened in append mode
   std::string tool;
   std::string task;
@@ -154,13 +135,14 @@ class HeartbeatSampler {
   // Opens the stream. If the file already holds heartbeat lines, the last
   // line must carry the same run_id (FAILED_PRECONDITION otherwise) and
   // sequence numbering continues after it — the checkpoint/resume splice.
+  // INVALID_ARGUMENT without a Progress to sample.
   Status open();
   // Samples Progress + the metrics Registry and appends one line.
   void tick() { write_tick(false); }
   // open() + a background thread ticking every interval_ms.
   Status start();
   // Joins the thread (if any), appends the final line, closes the stream.
-  // Idempotent. Flips heartbeat_enabled off when the last sampler stops.
+  // Idempotent.
   Status stop();
 
   // Captured timeseries, for the RunReport v2 "timeseries" section.
@@ -181,8 +163,7 @@ class HeartbeatSampler {
 
   HeartbeatOptions options_;
   std::FILE* file_ = nullptr;
-  bool sink_open_ = false;     // sink-mode stream is live
-  bool enabled_held_ = false;  // this sampler holds a heartbeat_enabled ref
+  bool sink_open_ = false;  // sink-mode stream is live
   std::uint64_t next_seq_ = 0;
   std::uint64_t start_ms_ = 0;
   std::vector<Tick> ticks_;  // manual + timed ticks, excludes the final line

@@ -77,6 +77,11 @@ Status check_value(const JsonValue& v, const FieldSpec& spec,
       return path.error(spec.name, "> " + std::to_string(spec.max));
     }
   }
+  if (spec.kind == FieldKind::kUint &&
+      spec.max != FieldSpec{}.max &&
+      v.uint_value > static_cast<std::uint64_t>(spec.max)) {
+    return path.error(spec.name, "> " + std::to_string(spec.max));
+  }
   if (spec.allowed.empty()) return Status::ok();
   std::string reason = "not one of ";
   for (std::string_view allowed : spec.allowed) {

@@ -24,7 +24,7 @@ enum class FieldKind {
   kString,
   kNonEmptyString,
   kInt,   // exact int64 literal within [min, max]
-  kUint,  // exact uint64 literal, [0, 2^64)
+  kUint,  // exact uint64 literal, [0, 2^64), or [0, max] when max is set
   kNumber,
   kBool,
   kObject,
@@ -37,7 +37,8 @@ struct FieldSpec {
   FieldKind kind = FieldKind::kString;
   bool required = true;
   std::int64_t min = std::numeric_limits<std::int64_t>::min();  // kInt only
-  std::int64_t max = std::numeric_limits<std::int64_t>::max();  // kInt only
+  // kInt, and kUint rows that lower it from this default.
+  std::int64_t max = std::numeric_limits<std::int64_t>::max();
   std::span<const std::string_view> allowed = {};  // strings: if non-empty
 };
 

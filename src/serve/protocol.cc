@@ -101,10 +101,12 @@ constexpr BoundField<ServeRequest> kRequestFields[] = {
      kAllOps, {}},
     {kOpField, kAllOps, &ServeRequest::op},
     {{.name = "id", .kind = K::kNonEmptyString}, kAllOps, &ServeRequest::id},
-    {{.name = "deadline_ms", .kind = K::kUint, .required = false}, kAllOps,
-     &ServeRequest::deadline_ms},
-    {{.name = "heartbeat_ms", .kind = K::kUint, .required = false}, kAllOps,
-     &ServeRequest::heartbeat_ms},
+    {{.name = "deadline_ms", .kind = K::kUint, .required = false,
+      .max = kMaxRequestDurationMs},
+     kAllOps, &ServeRequest::deadline_ms},
+    {{.name = "heartbeat_ms", .kind = K::kUint, .required = false,
+      .max = kMaxRequestDurationMs},
+     kAllOps, &ServeRequest::heartbeat_ms},
     {{.name = "task", .kind = K::kNonEmptyString}, kWorkOps,
      &ServeRequest::task},
     {{.name = "target", .kind = K::kNonEmptyString}, kCancel,
@@ -121,8 +123,10 @@ constexpr BoundField<ServeRequest> kRequestFields[] = {
      &ServeRequest::max_nodes},
     {{.name = "allow_truncation", .kind = K::kBool, .required = false},
      kGraphOps, &ServeRequest::allow_truncation},
-    {{.name = "max_levels", .kind = K::kUint, .required = false}, kExplore,
-     &ServeRequest::max_levels},
+    // ExploreOptions::max_levels is 32-bit.
+    {{.name = "max_levels", .kind = K::kUint, .required = false,
+      .max = std::numeric_limits<std::uint32_t>::max()},
+     kExplore, &ServeRequest::max_levels},
     {{.name = "runs", .kind = K::kUint, .required = false}, kFuzz,
      &ServeRequest::runs},
     {{.name = "seed", .kind = K::kUint, .required = false}, kFuzz,

@@ -36,6 +36,10 @@ namespace lbsa::serve {
 
 inline constexpr int kServeSchemaVersion = 1;
 
+// Bound on deadline_ms and heartbeat_ms (one year): steady_clock arithmetic
+// in nanoseconds overflows from about 9.2e12 ms.
+inline constexpr std::uint64_t kMaxRequestDurationMs = 365ull * 86'400'000;
+
 // One parsed request. Field defaults mirror the CLI defaults; `op` decides
 // which knobs are read.
 struct ServeRequest {
@@ -53,7 +57,7 @@ struct ServeRequest {
   std::string reduction = "none";
   std::uint64_t max_nodes = 0;  // 0 = engine default
   bool allow_truncation = false;
-  std::uint64_t max_levels = 0;
+  std::uint64_t max_levels = 0;  // explore only; [0, UINT32_MAX]
 
   // fuzz
   std::uint64_t runs = 2000;

@@ -274,9 +274,15 @@ void CheckService::run_request(const std::shared_ptr<Request>& req) {
   // final report. The request id is the run_id nonce: concurrent requests
   // for the same (task, budget) stream under distinct run_ids, and a
   // client re-issuing the same logical request gets the same run_id back.
+  // The request owns the Progress its engines publish into, so its
+  // heartbeats carry its own numbers and no neighbor's.
+  std::unique_ptr<obs::Progress> progress;
   std::unique_ptr<obs::HeartbeatSampler> sampler;
   if (r.heartbeat_ms > 0) {
+    progress = std::make_unique<obs::Progress>();
+    eo.progress = progress.get();
     obs::HeartbeatOptions hb;
+    hb.progress = progress.get();
     hb.tool = "lbsa_serverd";
     hb.task = task.name;
     hb.run_id =

@@ -26,6 +26,7 @@
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
+#include "modelcheck/run_task.h"
 #include "obs/heartbeat.h"
 
 namespace lbsa::modelcheck {
@@ -346,6 +347,36 @@ TEST(Checkpoint, CancelAndDeadlineInterruptBothEngines) {
   }
 }
 
+// Regression: an interrupted check used to certify the explored prefix —
+// partial=false, ok=true, exit 0 — and the server cached that answer for
+// later requests without a deadline. It is partial and exits 4 (resumable,
+// never cached), like an interrupted explore; complete checks are unchanged.
+TEST(Lifecycle, InterruptedCheckIsPartialAndExitsFour) {
+  // One DAC checker task and one k-agreement checker task.
+  for (const char* name : {"dac4-sym", "consensus4-sym"}) {
+    SCOPED_TRACE(name);
+    const NamedTask task = get_task(name);
+    CancelToken cancel;
+    cancel.cancel();
+    CheckTaskSpec spec;
+    spec.options.explore.cancel = &cancel;
+    const TaskRunResult interrupted = run_check_task(task, spec);
+    ASSERT_TRUE(interrupted.report_valid) << interrupted.error;
+    EXPECT_EQ(interrupted.exit_code, 4) << interrupted.human;
+    EXPECT_FALSE(interrupted.error.empty());
+    ASSERT_EQ(interrupted.report.sections.size(), 1u);
+    EXPECT_NE(interrupted.report.sections[0].second.find("\"partial\":true"),
+              std::string::npos)
+        << interrupted.report.sections[0].second;
+
+    const TaskRunResult complete = run_check_task(task, CheckTaskSpec{});
+    EXPECT_EQ(complete.exit_code, 0) << complete.error;
+    EXPECT_NE(complete.report.sections[0].second.find("\"partial\":false"),
+              std::string::npos)
+        << complete.report.sections[0].second;
+  }
+}
+
 TEST(FuzzCheckpoint, ResumedCampaignReportByteIdentical) {
   // strawdac3 is broken (violations arrive throughout the campaign), so
   // this checks that violations found before AND after the interrupt, the
@@ -484,12 +515,11 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   for (const auto engine :
        {ExploreEngine::kSerial, ExploreEngine::kWorkStealing}) {
     SCOPED_TRACE(static_cast<int>(engine));
-    obs::Progress& progress = obs::Progress::global();
-    progress.reset();
-    obs::set_heartbeat_enabled(true);  // engines publish live Progress
+    obs::Progress progress;  // the engine publishes live counts here
 
     CancelToken cancel;
     ExploreOptions opts;
+    opts.progress = &progress;
     opts.engine = engine;
     opts.threads = engine == ExploreEngine::kSerial ? 1 : 4;
     opts.cancel = &cancel;
@@ -510,7 +540,6 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
     runner.join();
     const std::uint64_t interned =
         progress.nodes_total.load(std::memory_order_relaxed);
-    obs::set_heartbeat_enabled(false);
 
     ASSERT_TRUE(partial_or.is_ok()) << partial_or.status().to_string();
     const ConfigGraph& partial = partial_or.value();

@@ -307,12 +307,11 @@ TEST(EngineEquivalence, AutoRunsWorkStealingAboveOneThread) {
 TEST(EngineEquivalence, RejectsThreadsOutOfRange) {
   // Every worker is an OS thread, so an unbounded count is a resource
   // hazard: explore() refuses it before any engine (and so any worker)
-  // starts. Engines announce their pool to the live Progress on start;
-  // with heartbeats on, an untouched pool size proves none did.
+  // starts. Engines announce their pool to the run's Progress on start;
+  // an untouched pool size proves none did.
   const NamedTask task = get_task("dac3");
   Explorer explorer(task.protocol);
-  obs::Progress::global().reset();
-  obs::set_heartbeat_enabled(true);
+  obs::Progress progress;
   for (int threads : {-1, kMaxExploreThreads + 1,
                       std::numeric_limits<int>::max()}) {
     for (ExploreEngine engine :
@@ -321,15 +320,15 @@ TEST(EngineEquivalence, RejectsThreadsOutOfRange) {
       ExploreOptions opts;
       opts.engine = engine;
       opts.threads = threads;
+      opts.progress = &progress;
       const auto graph = explorer.explore(opts);
       ASSERT_FALSE(graph.is_ok());
       EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(graph.status().message().find("threads"), std::string::npos)
           << graph.status().to_string();
-      EXPECT_EQ(obs::Progress::global().worker_count(), 0);
+      EXPECT_EQ(progress.worker_count(), 0);
     }
   }
-  obs::set_heartbeat_enabled(false);
   ExploreOptions edge;
   edge.engine = ExploreEngine::kWorkStealing;
   edge.threads = 2;

@@ -62,8 +62,10 @@ struct FakeClock {
 };
 
 HeartbeatOptions test_options(const std::string& path, FakeClock* clock,
+                              const Progress* progress,
                               const std::string& run_id = "deadbeef00000000") {
   HeartbeatOptions options;
+  options.progress = progress;
   options.path = path;
   options.tool = "heartbeat_test";
   options.task = "dac3";
@@ -119,18 +121,16 @@ TEST(HeartbeatSampler, SinkModeStreamsLinesWithoutTouchingDisk) {
   const std::string path = temp_path("hb_sink_should_not_exist.jsonl");
   std::remove(path.c_str());
   FakeClock clock;
-  Progress& progress = Progress::global();
-  progress.reset();
+  Progress progress;
 
   std::vector<std::string> lines;
-  HeartbeatOptions options = test_options(path, &clock);
+  HeartbeatOptions options = test_options(path, &clock, &progress);
   options.sink = [&lines](std::string_view line) {
     lines.emplace_back(line);
   };
   HeartbeatSampler sampler(options);
   ASSERT_TRUE(sampler.open().is_ok());
   EXPECT_TRUE(sampler.opened());
-  EXPECT_TRUE(heartbeat_enabled()) << "sink mode still arms the engines";
 
   progress.nodes_total.store(100);
   clock.now_ms = 1000;
@@ -140,7 +140,6 @@ TEST(HeartbeatSampler, SinkModeStreamsLinesWithoutTouchingDisk) {
   sampler.tick();
   clock.now_ms = 2500;
   ASSERT_TRUE(sampler.stop().is_ok());
-  EXPECT_FALSE(heartbeat_enabled());
 
   ASSERT_EQ(lines.size(), 3u) << "two ticks plus the final line";
   std::ifstream probe(path);
@@ -163,12 +162,18 @@ TEST(HeartbeatSampler, SinkModeStreamsLinesWithoutTouchingDisk) {
   EXPECT_EQ(first.value().find("nodes_total")->int_value, 100);
 }
 
-TEST(Progress, RaiseNeverLowers) {
-  std::atomic<std::uint64_t> cell{10};
-  Progress::raise(cell, 5);
-  EXPECT_EQ(cell.load(), 10u) << "stale smaller value must not un-publish";
-  Progress::raise(cell, 25);
-  EXPECT_EQ(cell.load(), 25u);
+// The sampler has nothing to report without the run's Progress: open()
+// refuses rather than streaming zeros.
+TEST(HeartbeatSampler, RefusesToOpenWithoutProgress) {
+  FakeClock clock;
+  const std::string path = temp_path("hb_no_progress.jsonl");
+  std::remove(path.c_str());
+  HeartbeatSampler sampler(test_options(path, &clock, nullptr));
+  const Status s = sampler.open();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.to_string();
+  EXPECT_FALSE(sampler.opened());
+  std::ifstream probe(path);
+  EXPECT_FALSE(probe.good()) << "a refused open must not create the stream";
 }
 
 TEST(Progress, ConfigureWorkersClampsAndClearsBusyOnly) {
@@ -191,12 +196,10 @@ TEST(HeartbeatSampler, DeterministicTicksUnderFakeClock) {
   const std::string path = temp_path("hb_deterministic.jsonl");
   std::remove(path.c_str());
   FakeClock clock;
-  Progress& progress = Progress::global();
-  progress.reset();
+  Progress progress;
 
-  HeartbeatSampler sampler(test_options(path, &clock));
+  HeartbeatSampler sampler(test_options(path, &clock, &progress));
   ASSERT_TRUE(sampler.open().is_ok());
-  EXPECT_TRUE(heartbeat_enabled()) << "open() arms the engines' publish path";
 
   progress.nodes_total.store(100);
   progress.transitions_total.store(250);
@@ -210,7 +213,6 @@ TEST(HeartbeatSampler, DeterministicTicksUnderFakeClock) {
   sampler.tick();
   clock.now_ms = 3000;
   ASSERT_TRUE(sampler.stop().is_ok());
-  EXPECT_FALSE(heartbeat_enabled());
 
   const std::vector<std::string> lines = lines_of(read_file(path));
   ASSERT_EQ(lines.size(), 3u) << "two ticks plus the final line";
@@ -241,31 +243,30 @@ TEST(HeartbeatSampler, DeterministicTicksUnderFakeClock) {
   EXPECT_EQ(sampler.ticks().size(), 2u);
   EXPECT_EQ(sampler.ticks()[1].nodes_total, 300u);
 
-  progress.reset();
   std::remove(path.c_str());
 }
 
 TEST(HeartbeatSampler, ResumeAppendsAContinuation) {
   const std::string path = temp_path("hb_resume.jsonl");
   std::remove(path.c_str());
-  Progress& progress = Progress::global();
-  progress.reset();
 
   FakeClock clock;
   {
-    HeartbeatSampler first(test_options(path, &clock));
+    Progress progress;
+    HeartbeatSampler first(test_options(path, &clock, &progress));
     ASSERT_TRUE(first.open().is_ok());
     progress.nodes_total.store(50);
     clock.now_ms = 1000;
     first.tick();
     ASSERT_TRUE(first.stop().is_ok());
   }
-  // Simulate the resumed process: counters re-seeded from the checkpoint.
-  progress.reset();
-  progress.nodes_total.store(50);
+  // Simulate the resumed process: a fresh Progress, seeded from the
+  // checkpoint.
   {
+    Progress progress;
+    progress.nodes_total.store(50);
     FakeClock clock2;
-    HeartbeatSampler resumed(test_options(path, &clock2));
+    HeartbeatSampler resumed(test_options(path, &clock2, &progress));
     ASSERT_TRUE(resumed.open().is_ok())
         << "same run_id must be allowed to append";
     progress.nodes_total.store(80);
@@ -287,14 +288,14 @@ TEST(HeartbeatSampler, ResumeAppendsAContinuation) {
 
   // A different run_id must be refused — appending would corrupt the stream.
   FakeClock clock3;
+  Progress progress;
   HeartbeatSampler imposter(
-      test_options(path, &clock3, "feedface00000000"));
+      test_options(path, &clock3, &progress, "feedface00000000"));
   const Status refused = imposter.open();
   EXPECT_FALSE(refused.is_ok());
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition)
       << refused.to_string();
 
-  progress.reset();
   std::remove(path.c_str());
 }
 
@@ -302,10 +303,9 @@ TEST(HeartbeatValidator, RejectsBrokenStreams) {
   FakeClock clock;
   const std::string path = temp_path("hb_validator.jsonl");
   std::remove(path.c_str());
-  Progress& progress = Progress::global();
-  progress.reset();
+  Progress progress;
   {
-    HeartbeatSampler sampler(test_options(path, &clock));
+    HeartbeatSampler sampler(test_options(path, &clock, &progress));
     ASSERT_TRUE(sampler.open().is_ok());
     progress.nodes_total.store(10);
     clock.now_ms = 1000;
@@ -359,7 +359,6 @@ TEST(HeartbeatValidator, RejectsBrokenStreams) {
                    "\"heartbeat_version\":9");
     EXPECT_FALSE(validate_heartbeat_stream(broken).is_ok());
   }
-  progress.reset();
   std::remove(path.c_str());
 }
 
@@ -375,10 +374,9 @@ std::vector<StreamCase> stream_cases() {
   FakeClock clock;
   const std::string path = temp_path("hb_matrix.jsonl");
   std::remove(path.c_str());
-  Progress& progress = Progress::global();
-  progress.reset();
+  Progress progress;
   {
-    HeartbeatSampler sampler(test_options(path, &clock));
+    HeartbeatSampler sampler(test_options(path, &clock, &progress));
     EXPECT_TRUE(sampler.open().is_ok());
     progress.nodes_total.store(10);
     clock.now_ms = 1000;
@@ -388,7 +386,6 @@ std::vector<StreamCase> stream_cases() {
     sampler.tick();
     EXPECT_TRUE(sampler.stop().is_ok());
   }
-  progress.reset();
   const std::string good = read_file(path);
   std::remove(path.c_str());
   const std::vector<std::string> lines = lines_of(good);
@@ -497,9 +494,9 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
     for (int threads : {1, 2, 8}) {
       const std::string path = temp_path("hb_engines.jsonl");
       std::remove(path.c_str());
-      Progress::global().reset();
+      Progress progress;
       FakeClock clock;
-      HeartbeatOptions options = test_options(path, &clock);
+      HeartbeatOptions options = test_options(path, &clock, &progress);
       options.task = "dac3";
       HeartbeatSampler sampler(options);
       ASSERT_TRUE(sampler.open().is_ok());
@@ -507,6 +504,7 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
       modelcheck::ExploreOptions explore_options;
       explore_options.engine = engine;
       explore_options.threads = threads;
+      explore_options.progress = &progress;
       auto graph = explorer.explore(explore_options);
       ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
 
@@ -553,7 +551,6 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
       std::remove(path.c_str());
     }
   }
-  Progress::global().reset();
 }
 
 }  // namespace

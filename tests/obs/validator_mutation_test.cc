@@ -69,7 +69,10 @@ std::string sample_run_report() {
 std::string sample_heartbeat_stream() {
   std::uint64_t now_ms = 0;
   std::string stream;
+  Progress progress;
+  progress.configure_workers(2);
   HeartbeatOptions options;
+  options.progress = &progress;
   options.tool = "validator_mutation_test";
   options.task = "dac3";
   options.run_id = "deadbeef00000000";
@@ -78,9 +81,6 @@ std::string sample_heartbeat_stream() {
     stream.append(line);
     stream += '\n';
   };
-  Progress& progress = Progress::global();
-  progress.reset();
-  progress.configure_workers(2);
   {
     HeartbeatSampler sampler(std::move(options));
     EXPECT_TRUE(sampler.open().is_ok());
@@ -93,7 +93,6 @@ std::string sample_heartbeat_stream() {
     sampler.tick();
     EXPECT_TRUE(sampler.stop().is_ok());
   }
-  progress.reset();
   return stream;
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "modelcheck/explorer.h"
@@ -239,6 +240,44 @@ TEST(Protocol, AcceptsFullUint64Range) {
   }
 }
 
+// Regression: the durations reached steady_clock arithmetic in nanoseconds
+// uncapped (a deadline_ms of 1e13 overflowed and stopped a dac5 check after
+// 6 nodes), and max_levels was narrowed to 32 bits (4294967297 became 1).
+// Each is bounded by name; the bound itself is accepted.
+TEST(Protocol, RejectsDurationsAndLevelsOutOfRange) {
+  const std::string max_duration = std::to_string(kMaxRequestDurationMs);
+  const std::string over_duration = std::to_string(kMaxRequestDurationMs + 1);
+  const struct {
+    const char* field;
+    std::string max;
+    std::vector<std::string> over;
+  } cases[] = {
+      {"deadline_ms", max_duration,
+       {over_duration, "10000000000000", "18446744073709551615"}},
+      {"heartbeat_ms", max_duration,
+       {over_duration, "10000000000000", "18446744073709551615"}},
+      {"max_levels", "4294967295", {"4294967296", "4294967297"}},
+  };
+  for (const auto& c : cases) {
+    const std::string head =
+        R"({"serve_version":1,"op":"explore","id":"x","task":"dac3",")" +
+        std::string(c.field) + "\":";
+    for (const std::string& value : c.over) {
+      SCOPED_TRACE(head + value);
+      auto parsed = parse_request(head + value + "}");
+      ASSERT_FALSE(parsed.is_ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(
+                    "serve request: " + std::string(c.field) + " > "),
+                std::string::npos)
+          << parsed.status().message();
+    }
+    auto at_max = parse_request(head + c.max + "}");
+    ASSERT_TRUE(at_max.is_ok()) << c.field << ": "
+                                << at_max.status().to_string();
+  }
+}
+
 TEST(Protocol, ResponseBuildersRoundTripExactBytes) {
   // Payload bytes with JSON-hostile characters must survive the
   // escape/unescape round trip exactly — clients digest-compare them.
@@ -453,6 +492,113 @@ TEST(Service, DeadlineBoundsARequest) {
   const ServeResponse* after = collector.final_for(all, "after");
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->exit_code, 0);
+}
+
+// Regression: an interrupted check answered exit 0 ("partial":false) and
+// was cached under a key without the deadline, so a later request with no
+// deadline replayed the truncated verdict. It answers exit 4 and the next
+// identical request computes afresh.
+TEST(Service, InterruptedCheckIsNotCached) {
+  ServiceOptions options;
+  options.workers = 1;
+  CheckService service(options);
+  Collector collector;
+
+  ServeRequest rushed = check_request("rushed", "dac5");
+  rushed.deadline_ms = 1;  // a dac5 check takes far longer
+  service.submit(std::move(rushed), collector.sink());
+  collector.wait_finals(1);
+  service.submit(check_request("patient", "dac5"), collector.sink());
+  const auto finals = collector.wait_finals(2);
+
+  const ServeResponse* first = collector.final_for(finals, "rushed");
+  const ServeResponse* second = collector.final_for(finals, "patient");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->type, "report");
+  EXPECT_EQ(first->exit_code, 4) << first->human;
+  auto report = parse_json(first->data);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_TRUE(
+      report.value().find("sections")->find("check")->find("partial")
+          ->bool_value);
+  EXPECT_FALSE(second->cached) << "an interrupted answer was replayed";
+  EXPECT_EQ(second->exit_code, 0) << second->human;
+}
+
+// Two overlapping requests with heartbeats: each final heartbeat carries its
+// own run's totals. With one process-wide Progress, the second run's
+// counters started from the first run's partial count.
+TEST(Service, OverlappingHeartbeatRequestsReportTheirOwnProgress) {
+  ServiceOptions options;
+  options.workers = 2;
+  options.cache_capacity = 0;
+  CheckService service(options);
+  Collector collector;
+
+  ServeRequest a;
+  a.op = "explore";
+  a.id = "a";
+  a.task = "dac5";
+  a.heartbeat_ms = 20;
+  service.submit(std::move(a), collector.sink());
+  // Submit B only once A has published work of its own.
+  {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(5);
+    bool started = false;
+    while (!started) {
+      {
+        std::lock_guard<std::mutex> lock(collector.mu);
+        for (const ServeResponse& hb : collector.heartbeats) {
+          auto line = parse_json(hb.data);
+          ASSERT_TRUE(line.is_ok());
+          started = started || line.value().find("nodes_total")->uint_value > 0;
+        }
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ServeRequest b;
+  b.op = "explore";
+  b.id = "b";
+  b.task = "consensus5";
+  b.heartbeat_ms = 20;
+  service.submit(std::move(b), collector.sink());
+  const auto finals = collector.wait_finals(2);
+
+  for (const char* id : {"a", "b"}) {
+    SCOPED_TRACE(id);
+    const ServeResponse* final = collector.final_for(finals, id);
+    ASSERT_NE(final, nullptr);
+    ASSERT_EQ(final->type, "report");
+    ASSERT_EQ(final->exit_code, 0);
+    auto report = parse_json(final->data);
+    ASSERT_TRUE(report.is_ok());
+    const auto* explorer = report.value().find("sections")->find("explorer");
+    std::string stream;
+    std::string last;
+    {
+      std::lock_guard<std::mutex> lock(collector.mu);
+      for (const ServeResponse& hb : collector.heartbeats) {
+        if (hb.request_id != id) continue;
+        stream += hb.data + "\n";
+        last = hb.data;
+      }
+    }
+    const Status valid = obs::validate_heartbeat_stream(stream);
+    EXPECT_TRUE(valid.is_ok()) << valid.to_string();
+    auto final_hb = parse_json(last);
+    ASSERT_TRUE(final_hb.is_ok()) << last;
+    EXPECT_TRUE(final_hb.value().find("final")->bool_value);
+    EXPECT_EQ(final_hb.value().find("nodes_total")->uint_value,
+              explorer->find("nodes")->uint_value);
+    EXPECT_EQ(final_hb.value().find("transitions_total")->uint_value,
+              explorer->find("transitions")->uint_value);
+    EXPECT_EQ(final_hb.value().find("levels_completed")->uint_value,
+              explorer->find("levels_completed")->uint_value);
+  }
 }
 
 TEST(Service, RejectsBadWorkloadsWithTypedErrors) {

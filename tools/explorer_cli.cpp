@@ -186,21 +186,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_sigint);
   options.cancel = &g_cancel;
 
+  options.progress = obs_cli.progress();
   if (obs_cli.heartbeat_requested()) {
-    if (options.resume != nullptr) {
-      // Seed the cumulative counters with the checkpoint's totals so the
-      // resumed stream continues monotonically from where the interrupted
-      // session's heartbeats left off.
-      obs::Progress& progress = obs::Progress::global();
-      progress.nodes_total.store(checkpoint.node_words.size(),
-                                 std::memory_order_relaxed);
-      progress.transitions_total.store(checkpoint.transition_count,
-                                       std::memory_order_relaxed);
-      progress.levels_completed.store(checkpoint.levels_completed,
-                                      std::memory_order_relaxed);
-      progress.frontier_size.store(checkpoint.frontier.size(),
-                                   std::memory_order_relaxed);
-    }
     // Stable across engines/threads AND across resume (same task + budget),
     // so the appended stream validates as a continuation. --run-nonce
     // disambiguates otherwise-identical concurrent runs sharing a stream

@@ -19,8 +19,9 @@
 // `report_check hierarchy`. --markdown prints the consensus-power table.
 // --only N,M checks a single cell and prints its row document. The obs
 // flags match the other tools (shared ObsCli): --heartbeat-out streams live
-// telemetry across the whole sweep — the cumulative node/transition totals
-// accumulate over cells, so `lbsa_watch` shows sweep-wide progress.
+// telemetry across the whole sweep — every cell adds its node/transition
+// counts to the tool's one Progress, so `lbsa_watch` shows sweep-wide
+// progress.
 //
 // Exit codes:
 //   0  every requested row verified and matches the catalog
@@ -137,6 +138,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  options.progress = obs_cli.progress();
   if (options.n_min < 2 || options.n_max < options.n_min) {
     std::fprintf(stderr, "need 2 <= --n-min <= --n-max\n");
     return usage();

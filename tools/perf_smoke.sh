@@ -15,11 +15,14 @@
 # reasons no code change can fix. The measured ratio is still printed so
 # the log records what the host saw.
 #
-# A second gate bounds observability overhead: the same task explored with
-# a 1s heartbeat sampler attached must stay within MAX_OBS_OVERHEAD_PCT of
-# the LBSA_OBS_DISABLED baseline (docs/observability.md, "Overhead"). The
-# sampler reads relaxed atomics the engines publish at quiescence points,
-# so the expected cost is well under a percent; 2% leaves room for noise.
+# A second gate bounds observability overhead: a run with a heartbeat
+# sampler attached must stay within MAX_OBS_OVERHEAD_PCT of the
+# LBSA_OBS_DISABLED baseline (docs/observability.md, "Overhead"). The
+# engines add deltas to the run's Progress at quiescence points and the
+# sampler reads them, so the expected cost is well under a percent. Short
+# runs cannot resolve 2% on a shared host, so the gate compares paired,
+# interleaved samples of at least a second each and gates the median of the
+# per-pair overheads.
 #
 # A third gate asserts that symmetry reduction pays at wall-clock: the same
 # task explored serially with --reduction symmetry must finish strictly
@@ -31,7 +34,7 @@
 # Usage: tools/perf_smoke.sh [build-dir]
 #   MIN_RATIO             parallel gate threshold (default 1.0)
 #   PERF_TASK             task to run (default dac5)
-#   MAX_OBS_OVERHEAD_PCT  heartbeat overhead gate (default 2)
+#   MAX_OBS_OVERHEAD_PCT  heartbeat overhead gate on the median (default 2)
 #   SYM_TASK              symmetry-pays gate task (default dac5-sym; must
 #                         have a nontrivial symmetry group — plain dac5 has
 #                         distinct inputs, so its group is trivial and
@@ -94,51 +97,60 @@ fi
 
 # --- heartbeat-overhead gate ------------------------------------------------
 MAX_OBS_OVERHEAD_PCT="${MAX_OBS_OVERHEAD_PCT:-2}"
+# dac6 at 4 threads runs about 0.75 s on a 4-core host, so a sample of 3
+# runs spans over 2 s.
+OBS_TASK=dac6
+OBS_PAIRS=9
+OBS_REPS=3
 HB_TMP="$(mktemp -d)"
 trap 'rm -rf "$HB_TMP"' EXIT INT TERM
 
-# rate_obs MODE RUN -> nodes/sec of one run, with the heartbeat sampler
-# attached (mode=heartbeat, fresh stream per run) or the runtime kill
-# switch set (mode=disabled).
-rate_obs() {
-  local mode="$1" run="$2"
-  if [[ "$mode" == heartbeat ]]; then
-    "$EXPLORER" "$PERF_TASK" --threads 4 \
-        --heartbeat-out "$HB_TMP/$mode-$run.jsonl" \
-        --heartbeat-every 1 \
-      | sed -nE 's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p'
-  else
-    LBSA_OBS_DISABLED=1 "$EXPLORER" "$PERF_TASK" --threads 4 \
-      | sed -nE 's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p'
-  fi
+# sample_obs MODE -> summed elapsed seconds of OBS_REPS back-to-back runs at
+# 4 threads, with a heartbeat sampler ticking every 0.1s (mode=heartbeat,
+# fresh stream per run) or the runtime kill switch set (mode=disabled).
+sample_obs() {
+  for ((rep = 0; rep < OBS_REPS; ++rep)); do
+    if [[ "$1" == heartbeat ]]; then
+      rm -f "$HB_TMP/hb.jsonl"
+      "$EXPLORER" "$OBS_TASK" --threads 4 \
+          --heartbeat-out "$HB_TMP/hb.jsonl" --heartbeat-every 0.1
+    else
+      LBSA_OBS_DISABLED=1 "$EXPLORER" "$OBS_TASK" --threads 4
+    fi
+  done | awk '/^ *elapsed / { s += $2 } END { printf("%.6f\n", s) }'
 }
 
-# Best-of-3 per mode after one warmup each, with the two modes interleaved
-# within each round: loaded CI hosts drift through fast and slow windows
-# lasting longer than a whole batch, so back-to-back batches of one mode
-# each can land in different windows and report phantom overhead. Pairing
-# the modes per round keeps both sides in the same window.
-rate_obs heartbeat 0 > /dev/null
-rate_obs disabled 0 > /dev/null
-HB_RATE=0
-OFF_RATE=0
-for run in 1 2 3; do
-  r="$(rate_obs heartbeat "$run")"
-  if (( r > HB_RATE )); then HB_RATE="$r"; fi
-  r="$(rate_obs disabled "$run")"
-  if (( r > OFF_RATE )); then OFF_RATE="$r"; fi
-done
-OVERHEAD="$(awk -v h="$HB_RATE" -v o="$OFF_RATE" \
-                'BEGIN { printf("%.2f", (o > 0) ? (o - h) * 100.0 / o : 0) }')"
-echo "obs overhead ($PERF_TASK): heartbeat=$HB_RATE disabled=$OFF_RATE" \
-     "overhead=${OVERHEAD}%"
-if awk -v x="$OVERHEAD" -v m="$MAX_OBS_OVERHEAD_PCT" \
+# One warmup run per mode, then OBS_PAIRS pairs alternating which side runs
+# first, so host drift within a pair cancels over the pairs instead of
+# always favoring one side. Prints one overhead percentage per pair.
+OBS_REPS=1 sample_obs heartbeat > /dev/null
+OBS_REPS=1 sample_obs disabled > /dev/null
+declare -A took
+for ((pair = 0; pair < OBS_PAIRS; ++pair)); do
+  order=(heartbeat disabled)
+  if (( pair % 2 )); then order=(disabled heartbeat); fi
+  for mode in "${order[@]}"; do took[$mode]="$(sample_obs "$mode")"; done
+  awk -v h="${took[heartbeat]}" -v o="${took[disabled]}" \
+      'BEGIN { printf("%.4f\n", (h - o) * 100.0 / o) }'
+done > "$HB_TMP/overheads"
+# Median and quartiles, interpolated between order statistics.
+read -r MEDIAN Q1 Q3 < <(sort -g "$HB_TMP/overheads" | awk '{ v[NR] = $1 }
+  function q(p,  h, l) {
+    h = 1 + (NR - 1) * p; l = int(h)
+    return v[l] + (h - l) * (v[l + 1] - v[l])
+  }
+  END { printf("%.2f %.2f %.2f\n", q(0.5), q(0.25), q(0.75)) }')
+echo "obs overhead ($OBS_TASK t4, $OBS_PAIRS pairs x $OBS_REPS runs):" \
+     "median=${MEDIAN}% iqr=$(awk -v a="$Q1" -v b="$Q3" \
+                                  'BEGIN { printf("%.2f", b - a) }')%" \
+     "(q1=${Q1}% q3=${Q3}%)"
+if awk -v x="$MEDIAN" -v m="$MAX_OBS_OVERHEAD_PCT" \
        'BEGIN { exit !(x > m) }'; then
-  echo "error: heartbeat sampling costs ${OVERHEAD}% nodes/sec" \
+  echo "error: heartbeat sampling costs ${MEDIAN}% wall time (median)" \
        "(> ${MAX_OBS_OVERHEAD_PCT}%)" >&2
   exit 1
 fi
-echo "ok: heartbeat overhead <= ${MAX_OBS_OVERHEAD_PCT}%"
+echo "ok: heartbeat overhead median <= ${MAX_OBS_OVERHEAD_PCT}%"
 
 # --- symmetry-pays gate -----------------------------------------------------
 SYM_TASK="${SYM_TASK:-dac5-sym}"

@@ -32,7 +32,7 @@ void analyze(benchmark::State& state,
       return;
     }
     lbsa::modelcheck::ValenceAnalyzer analyzer(graph_or.value());
-    nodes = graph_or.value().nodes().size();
+    nodes = graph_or.value().node_count();
     multivalent = analyzer.multivalent_nodes().size();
     critical = analyzer.critical_nodes().size();
     benchmark::DoNotOptimize(critical);

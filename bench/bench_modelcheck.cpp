@@ -37,7 +37,8 @@ std::vector<lbsa::Value> iota_inputs(int n) {
 // reference engine (the baseline every speedup claim is against); threads>1
 // runs the work-stealing engine, whose canonical output is bit-identical, so
 // the rows measure the same work. The threads sweep at the headline size is
-// the speedup curve tracked across PRs (see tools/bench_modelcheck_json.sh).
+// the speedup curve tracked across commits (tools/run_report.sh
+// --with-bench embeds these rows in BENCH_modelcheck.json).
 void ModelCheck_ExploreDac(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -52,7 +53,7 @@ void ModelCheck_ExploreDac(benchmark::State& state) {
       state.SkipWithError("budget exceeded");
       return;
     }
-    nodes = graph.value().nodes().size();
+    nodes = graph.value().node_count();
     transitions = graph.value().transition_count();
   }
   state.counters["nodes"] = static_cast<double>(nodes);
@@ -92,7 +93,7 @@ void ModelCheck_ExploreDacReduced(benchmark::State& state) {
       state.SkipWithError("budget exceeded");
       return;
     }
-    nodes = graph.value().nodes().size();
+    nodes = graph.value().node_count();
     full = graph.value().full_node_estimate();
   }
   state.counters["nodes"] = static_cast<double>(nodes);
@@ -124,7 +125,7 @@ void ModelCheck_ExploreConsensus(benchmark::State& state) {
       state.SkipWithError("budget exceeded");
       return;
     }
-    nodes = graph.value().nodes().size();
+    nodes = graph.value().node_count();
   }
   state.counters["nodes"] = static_cast<double>(nodes);
   state.counters["nodes_per_sec"] = benchmark::Counter(
@@ -153,7 +154,7 @@ void ModelCheck_Valence(benchmark::State& state) {
     benchmark::DoNotOptimize(analyzer.multivalent_nodes().size());
   }
   state.counters["nodes"] =
-      static_cast<double>(graph.value().nodes().size());
+      static_cast<double>(graph.value().node_count());
 }
 BENCHMARK(ModelCheck_Valence)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -77,8 +77,10 @@ class WordArena {
     std::size_t words = blocks_.empty() ? first_block_words_
                                         : blocks_.back().words * 2;
     if (words < min_words) words = min_words;
+    // Left uninitialized: alloc() hands out uninitialized words anyway, and
+    // a large block's untouched pages then cost no resident memory.
     blocks_.push_back(
-        Block{std::make_unique<std::int64_t[]>(words), words});
+        Block{std::make_unique_for_overwrite<std::int64_t[]>(words), words});
     block_ = blocks_.size() - 1;
     used_ = 0;
   }

@@ -16,11 +16,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "base/check.h"
 #include "base/status.h"
 #include "modelcheck/cancel.h"
 #include "sim/config.h"
@@ -209,18 +212,100 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-// A node: a reachable configuration (plus the optional path flag).
+// A node, decoded: a reachable configuration (plus the optional path flag).
+// The graph does not store Nodes; ConfigGraph::nodes() builds them on
+// access.
 struct Node {
   sim::Config config;
   std::int64_t flag = 0;
   std::uint32_t depth = 0;  // BFS depth (shortest history length)
 };
 
-// The fully-materialized reachable graph.
+class ConfigGraph;
+
+// ConfigGraph::nodes(): a random-access range that decodes each Node as it
+// is read. Convenient for tests and one-off tools; scans that run over
+// every node use words()/view() instead, which neither decode nor
+// allocate.
+class NodeRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Node;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Node;
+
+    iterator() = default;
+    iterator(const ConfigGraph* graph, std::uint32_t id)
+        : graph_(graph), id_(id) {}
+    Node operator*() const;
+    iterator& operator++() {
+      ++id_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++id_;
+      return old;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+   private:
+    const ConfigGraph* graph_ = nullptr;
+    std::uint32_t id_ = 0;
+  };
+
+  explicit NodeRange(const ConfigGraph* graph) : graph_(graph) {}
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
+  Node operator[](std::size_t id) const;
+  iterator begin() const { return iterator(graph_, 0); }
+  iterator end() const {
+    return iterator(graph_, static_cast<std::uint32_t>(size()));
+  }
+
+ private:
+  const ConfigGraph* graph_;
+};
+
+// The fully-materialized reachable graph, stored flat (docs/checking.md,
+// "Graph representation"): one word store holding every node's
+// Config::encode() words back to back in canonical id order, the flags,
+// depths and parent pointers beside it, the edges in CSR form, and the
+// discovery permutations in one byte array. No per-node object exists.
 class ConfigGraph {
  public:
-  const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<std::vector<Edge>>& edges() const { return edges_; }
+  std::uint32_t node_count() const {
+    return static_cast<std::uint32_t>(flags_.size());
+  }
+  // Node id's encoded configuration (Config::encode()).
+  std::span<const std::int64_t> words(std::uint32_t id) const {
+    return {words_.data() + word_begin_[id],
+            static_cast<std::size_t>(word_begin_[id + 1] - word_begin_[id])};
+  }
+  // Status/decision/pc reads off the stored words, without decoding.
+  sim::ConfigView view(std::uint32_t id) const {
+    return sim::ConfigView(words(id));
+  }
+  // Node id's configuration, decoded (allocates).
+  sim::Config config(std::uint32_t id) const;
+  std::int64_t flag(std::uint32_t id) const { return flags_[id]; }
+  // BFS depth (shortest history length).
+  std::uint32_t depth(std::uint32_t id) const { return depths_[id]; }
+  // Node id's out-edges, in canonical order (pids ascending, then outcome
+  // order); empty for a node that was never expanded.
+  std::span<const Edge> edges(std::uint32_t id) const {
+    if (id >= edge_begin_.size()) return {};
+    const std::uint64_t end =
+        id + 1 < edge_begin_.size() ? edge_begin_[id + 1] : edges_.size();
+    return {edges_.data() + edge_begin_[id],
+            static_cast<std::size_t>(end - edge_begin_[id])};
+  }
+  // Decoded nodes; see NodeRange.
+  NodeRange nodes() const { return NodeRange(this); }
+
   std::uint32_t root() const { return 0; }
   std::uint64_t transition_count() const { return transition_count_; }
   // True iff exploration stopped at the node budget (allow_truncation).
@@ -237,16 +322,23 @@ class ConfigGraph {
   const std::vector<std::uint32_t>& pending_frontier() const {
     return pending_frontier_;
   }
-  // Discovering-edge parent pointers, parallel to nodes(); parents()[0] is
-  // unused (the root has no parent).
-  const std::vector<std::pair<std::uint32_t, sim::Step>>& parents() const {
-    return parents_;
+  // The discovering edge of node id: its source and the step taken (the
+  // root's is unused).
+  std::uint32_t parent(std::uint32_t id) const { return parents_[id]; }
+  const sim::Step& parent_step(std::uint32_t id) const {
+    return steps_[parent_steps_[id]];
   }
-  // Canonicalizing pid permutations of each node's discovering edge; empty
-  // unless symmetry reduction was active (see the private field's comment).
-  const std::vector<std::vector<std::uint8_t>>& discovery_perms() const {
-    return discovery_perms_;
+  // True iff symmetry reduction was active, so discovery_perm() is stored.
+  bool has_discovery_perms() const { return has_perms_; }
+  // The pid permutation applied when canonicalizing node id's discovering
+  // successor into its stored representative (empty = identity); path_to()
+  // composes these to lift representative-space steps to concrete ones.
+  std::span<const std::uint8_t> discovery_perm(std::uint32_t id) const {
+    return {perm_bytes_.data() + perm_begin_[id],
+            static_cast<std::size_t>(perm_begin_[id + 1] - perm_begin_[id])};
   }
+  // Bytes held by the graph's arrays (capacity, not just size).
+  std::uint64_t memory_bytes() const;
   // The reduction mode this graph was explored under.
   Reduction reduction() const { return reduction_; }
   // The engine that actually produced this graph (never kAuto: an auto run
@@ -261,7 +353,7 @@ class ConfigGraph {
   // complete graph this is exactly the unreduced node count (each orbit
   // contributes all its members); under POR it is a lower bound, since POR
   // removes whole configurations rather than orbit mates. Without symmetry
-  // it equals nodes().size().
+  // it equals node_count().
   std::uint64_t full_node_estimate() const;
 
   // Reconstructs one shortest step sequence from the root to node id
@@ -276,15 +368,39 @@ class ConfigGraph {
  private:
   friend class Explorer;
   friend struct internal::GraphBuilder;
-  std::vector<Node> nodes_;
-  std::vector<std::vector<Edge>> edges_;
-  // Parent pointers for path reconstruction: (parent id, step taken).
-  std::vector<std::pair<std::uint32_t, sim::Step>> parents_;
-  // Only populated under symmetry reduction (size == nodes_.size()): the
-  // pid permutation applied when canonicalizing the discovering edge's
-  // successor into nodes_[i].config (empty = identity). path_to() composes
-  // these to lift representative-space steps to concrete ones.
-  std::vector<std::vector<std::uint8_t>> discovery_perms_;
+
+  // Appends a node; `step` indexes steps_, `perm` is stored iff
+  // has_perms_.
+  void add_node(std::span<const std::int64_t> words, std::int64_t flag,
+                std::uint32_t depth, std::uint32_t parent, std::uint32_t step,
+                std::span<const std::uint8_t> perm);
+  // Starts node id's edge list: nodes are expanded in ascending id order,
+  // and edges are appended to the last node opened.
+  void open_edges(std::uint32_t id) {
+    LBSA_CHECK(edge_begin_.size() <= id);
+    while (edge_begin_.size() <= id) edge_begin_.push_back(edges_.size());
+  }
+  // Keeps nodes [0, n) and the edges of nodes [0, first_unexpanded).
+  void truncate(std::uint32_t n, std::uint32_t first_unexpanded);
+
+  std::vector<std::int64_t> words_;
+  std::vector<std::uint64_t> word_begin_{0};  // node_count() + 1 entries
+  std::vector<std::int64_t> flags_;
+  std::vector<std::uint32_t> depths_;
+  // CSR edges: node id's edges are edges_[edge_begin_[id], next begin or
+  // the end); nodes at or past edge_begin_.size() have none.
+  std::vector<std::uint64_t> edge_begin_;
+  std::vector<Edge> edges_;
+  // Parent pointers for path reconstruction: parent id and an index into
+  // steps_, the graph's distinct discovering steps.
+  std::vector<std::uint32_t> parents_;
+  std::vector<std::uint32_t> parent_steps_;
+  std::vector<sim::Step> steps_;
+  // Symmetry reduction only (has_perms_): perm_begin_ has node_count() + 1
+  // entries, and just {0} otherwise.
+  bool has_perms_ = false;
+  std::vector<std::uint32_t> perm_begin_{0};
+  std::vector<std::uint8_t> perm_bytes_;
   std::uint64_t transition_count_ = 0;
   bool truncated_ = false;
   bool interrupted_ = false;

@@ -1,5 +1,6 @@
 #include "modelcheck/run_task.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -50,14 +51,14 @@ TaskRunResult run_explore_task(const NamedTask& task,
   // only covers visited orbits, so the reduction ratio would understate the
   // reduction (or divide nonsense) — omit it rather than mislead.
   const bool complete = !graph.truncated() && !graph.interrupted();
-  result.work_items = graph.nodes().size();
+  result.work_items = graph.node_count();
 
   std::uint32_t max_depth = 0;
-  for (const Node& node : graph.nodes()) {
-    if (node.depth > max_depth) max_depth = node.depth;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    max_depth = std::max(max_depth, graph.depth(id));
   }
-  appendf(&result.human, "%s: %zu nodes, %llu transitions, depth %u%s%s\n",
-          task.name.c_str(), graph.nodes().size(),
+  appendf(&result.human, "%s: %u nodes, %llu transitions, depth %u%s%s\n",
+          task.name.c_str(), graph.node_count(),
           static_cast<unsigned long long>(graph.transition_count()), max_depth,
           graph.truncated() ? " (truncated)" : "",
           graph.interrupted() ? " (interrupted)" : "");
@@ -71,13 +72,13 @@ TaskRunResult run_explore_task(const NamedTask& task,
             resume_hint.c_str());
   }
   if (options.reduction != Reduction::kNone && complete &&
-      !graph.nodes().empty()) {
+      graph.node_count() > 0) {
     const std::uint64_t full_estimate = graph.full_node_estimate();
     appendf(&result.human, "  reduction=%s: >=%llu full-graph nodes, ratio %.2fx\n",
             reduction_name(graph.reduction()),
             static_cast<unsigned long long>(full_estimate),
             static_cast<double>(full_estimate) /
-                static_cast<double>(graph.nodes().size()));
+                static_cast<double>(graph.node_count()));
   }
 
   result.report.task = task.name;
@@ -101,7 +102,7 @@ TaskRunResult run_explore_task(const NamedTask& task,
     obs::JsonWriter w;
     w.begin_object();
     w.key("nodes");
-    w.value_uint(graph.nodes().size());
+    w.value_uint(graph.node_count());
     w.key("transitions");
     w.value_uint(graph.transition_count());
     w.key("max_depth");
@@ -119,13 +120,13 @@ TaskRunResult run_explore_task(const NamedTask& task,
     w.value_string(engine_name(graph.engine_used()));
     // Only on complete graphs (see `complete` above): the schema validator
     // rejects a ratio sitting next to truncated/interrupted = true.
-    if (complete && !graph.nodes().empty()) {
+    if (complete && graph.node_count() > 0) {
       const std::uint64_t full_estimate = graph.full_node_estimate();
       w.key("nodes_full_estimate");
       w.value_uint(full_estimate);
       w.key("reduction_ratio");
       w.value_double(static_cast<double>(full_estimate) /
-                     static_cast<double>(graph.nodes().size()));
+                     static_cast<double>(graph.node_count()));
     }
     w.end_object();
     result.report.sections.emplace_back("explorer", std::move(w).str());

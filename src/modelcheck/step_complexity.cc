@@ -19,7 +19,7 @@ class LongestPathAnalysis {
       : graph_(graph), pid_(pid) {}
 
   std::optional<std::uint64_t> run() {
-    const size_t n = graph_.nodes().size();
+    const std::uint32_t n = graph_.node_count();
     scc_of_.assign(n, kNone);
     index_.assign(n, kNone);
     lowlink_.assign(n, 0);
@@ -35,7 +35,7 @@ class LongestPathAnalysis {
       std::uint64_t best = 0;
       bool internal_pid_edge = false;
       for (std::uint32_t v : sccs_[s]) {
-        for (const Edge& e : graph_.edges()[v]) {
+        for (const Edge& e : graph_.edges(v)) {
           const std::uint64_t weight = (e.pid == pid_) ? 1 : 0;
           if (!active(e.to)) {
             // pid terminated (or the whole run halted): path ends.
@@ -60,8 +60,7 @@ class LongestPathAnalysis {
   static constexpr std::uint32_t kNone = ~0u;
 
   bool active(std::uint32_t v) const {
-    return graph_.nodes()[v].config.procs[static_cast<size_t>(pid_)]
-        .running();
+    return graph_.view(v).proc(pid_).running();
   }
 
   void tarjan(std::uint32_t root) {
@@ -73,7 +72,7 @@ class LongestPathAnalysis {
     begin(root);
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = graph_.edges()[f.v];
+      const std::span<const Edge> edges = graph_.edges(f.v);
       bool descended = false;
       while (f.edge_pos < edges.size()) {
         const Edge& e = edges[f.edge_pos++];

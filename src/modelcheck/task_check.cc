@@ -28,9 +28,10 @@ std::vector<std::string> format_path(const sim::Protocol& protocol,
 }
 
 // Collects the distinct decided values in a configuration.
-std::vector<Value> decided_values(const sim::Config& config) {
+std::vector<Value> decided_values(const sim::ConfigView& config) {
   std::vector<Value> out;
-  for (const sim::ProcessState& ps : config.procs) {
+  for (int pid = 0; pid < config.process_count(); ++pid) {
+    const sim::ConfigView::Process ps = config.proc(pid);
     if (ps.decided()) out.push_back(ps.decision);
   }
   std::sort(out.begin(), out.end());
@@ -56,16 +57,14 @@ std::vector<Value> decided_values(const sim::Config& config) {
 // ---------------------------------------------------------------------------
 
 // For each node, the smallest node id with an equal configuration: nodes
-// are bucketed by configuration hash, and colliding configurations are told
-// apart by operator==.
+// are bucketed by the hash of their stored words, and colliding
+// configurations are told apart by comparing the words (the encoding is
+// injective).
 std::vector<std::uint32_t> config_classes(const ConfigGraph& graph) {
-  const std::vector<Node>& nodes = graph.nodes();
-  const auto n = static_cast<std::uint32_t>(nodes.size());
+  const std::uint32_t n = graph.node_count();
   std::vector<std::pair<std::uint64_t, std::uint32_t>> by_hash(n);
-  std::vector<std::int64_t> words;
   for (std::uint32_t id = 0; id < n; ++id) {
-    nodes[id].config.encode_into(&words);
-    by_hash[id] = {hash_words(words), id};
+    by_hash[id] = {hash_words(graph.words(id)), id};
   }
   std::sort(by_hash.begin(), by_hash.end());
   std::vector<std::uint32_t> rep(n);
@@ -77,7 +76,8 @@ std::vector<std::uint32_t> config_classes(const ConfigGraph& graph) {
       rep[id] = id;
       for (std::size_t j = run; j < i; ++j) {
         const std::uint32_t other = by_hash[j].second;
-        if (rep[other] == other && nodes[other].config == nodes[id].config) {
+        if (rep[other] == other &&
+            std::ranges::equal(graph.words(other), graph.words(id))) {
           rep[id] = other;
           break;
         }
@@ -109,24 +109,33 @@ class SoloChecker {
   bool terminates(std::uint32_t start, std::string* detail) {
     nodes_visited_ = 0;
     depth_ = 0;
-    bool ok = enter(graph_.nodes()[start].config, start, detail);
+    bool ok;
+    if (classes_ != nullptr) {
+      ok = enter(graph_.view(start).proc(pid_).status, nullptr, start, detail);
+    } else {
+      start_config_ = graph_.config(start);
+      ok = enter(start_config_.procs[static_cast<size_t>(pid_)].status,
+                 &start_config_, start, detail);
+    }
     while (ok && depth_ > 0) {
       // Grow first: enter() writes frames_[depth_] and must not move the
       // parent frame whose successor it reads.
       if (depth_ == frames_.size()) frames_.emplace_back();
       Frame& top = frames_[depth_ - 1];
       if (classes_ != nullptr) {
-        const std::vector<Edge>& edges = graph_.edges()[top.node];
+        const std::span<const Edge> edges = graph_.edges(top.node);
         while (top.next < edges.size() && edges[top.next].pid != pid_) {
           ++top.next;
         }
         if (top.next < edges.size()) {
           const std::uint32_t to = edges[top.next++].to;
-          ok = enter(graph_.nodes()[to].config, to, detail);
+          ok = enter(graph_.view(to).proc(pid_).status, nullptr, to, detail);
           continue;
         }
       } else if (top.next < top.succs.size()) {
-        ok = enter(top.succs[top.next++].config, /*node=*/0, detail);
+        const sim::Config& config = top.succs[top.next++].config;
+        ok = enter(config.procs[static_cast<size_t>(pid_)].status, &config,
+                   /*node=*/0, detail);
         continue;
       }
       *top.memo = kGood;
@@ -147,19 +156,19 @@ class SoloChecker {
     std::vector<sim::Successor> succs;  // simulator source only
   };
 
-  // Visits `config` (graph node `node` under the graph source): accepts it,
-  // pushes a frame to expand it, or fails with *detail set.
-  bool enter(const sim::Config& config, std::uint32_t node,
-             std::string* detail) {
-    const sim::ProcessState& ps = config.procs[static_cast<size_t>(pid_)];
-    if (ps.decided()) return true;
-    if (ps.aborted()) {
+  // Visits a configuration in which pid has `status`: graph node `node`
+  // under the graph source, *config under the simulator source. Accepts
+  // it, pushes a frame to expand it, or fails with *detail set.
+  bool enter(sim::ProcStatus status, const sim::Config* config,
+             std::uint32_t node, std::string* detail) {
+    if (status == sim::ProcStatus::kDecided) return true;
+    if (status == sim::ProcStatus::kAborted) {
       if (allow_abort_) return true;
       *detail = "process p" + std::to_string(pid_) +
                 " aborted in a solo run where only decide is allowed";
       return false;
     }
-    if (ps.crashed()) {
+    if (status == sim::ProcStatus::kCrashed) {
       *detail = "process p" + std::to_string(pid_) + " crashed mid-check";
       return false;
     }
@@ -170,7 +179,7 @@ class SoloChecker {
 
     std::uint8_t& memo = classes_ != nullptr
                              ? class_memo_[(*classes_)[node]]
-                             : sim_memo_[config.encode()];
+                             : sim_memo_[config->encode()];
     if (memo == kGood) return true;
     if (memo == kInProgress) {
       // Revisiting an in-progress configuration: pid can cycle solo forever.
@@ -186,7 +195,7 @@ class SoloChecker {
     frame.next = 0;
     if (classes_ == nullptr) {
       frame.succs.clear();
-      sim::enumerate_successors(protocol_, config, pid_, &frame.succs);
+      sim::enumerate_successors(protocol_, *config, pid_, &frame.succs);
     }
     return true;
   }
@@ -198,6 +207,7 @@ class SoloChecker {
   bool allow_abort_;
   std::uint64_t node_bound_;
   std::uint64_t nodes_visited_ = 0;
+  sim::Config start_config_;  // simulator source: the start node, decoded
   // The DFS stack is frames_[0, depth_); frames above it keep their succs
   // capacity for reuse.
   std::vector<Frame> frames_;
@@ -221,9 +231,13 @@ class WaitFreedomChecker {
   WaitFreedomChecker(const ConfigGraph& graph, int pid)
       : graph_(graph), pid_(pid) {}
 
-  // Returns a node on a violating cycle, or nodes().size() if none.
+  // Returns a node on a violating cycle, or node_count() if none.
   std::uint32_t find_violation() {
-    const size_t n = graph_.nodes().size();
+    const std::uint32_t n = graph_.node_count();
+    running_.resize(n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      running_[v] = graph_.view(v).proc(pid_).running() ? 1 : 0;
+    }
     index_.assign(n, kUnvisited);
     lowlink_.assign(n, 0);
     on_stack_.assign(n, 0);
@@ -234,7 +248,7 @@ class WaitFreedomChecker {
     // A pid-edge inside one SCC witnesses the cycle.
     for (std::uint32_t u = 0; u < n; ++u) {
       if (!in_subgraph(u)) continue;
-      for (const Edge& e : graph_.edges()[u]) {
+      for (const Edge& e : graph_.edges(u)) {
         if (e.pid != pid_ || !in_subgraph(e.to)) continue;
         // A self-loop, or an edge inside a multi-node SCC, lies on a
         // cycle; a single-node SCC without a self-loop has none.
@@ -244,15 +258,13 @@ class WaitFreedomChecker {
         }
       }
     }
-    return static_cast<std::uint32_t>(n);
+    return n;
   }
 
  private:
   static constexpr std::uint32_t kUnvisited = ~0u;
 
-  bool in_subgraph(std::uint32_t v) const {
-    return graph_.nodes()[v].config.procs[static_cast<size_t>(pid_)].running();
-  }
+  bool in_subgraph(std::uint32_t v) const { return running_[v] != 0; }
 
   void tarjan(std::uint32_t root) {
     struct Frame {
@@ -263,7 +275,7 @@ class WaitFreedomChecker {
     begin_node(root);
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = graph_.edges()[f.v];
+      const std::span<const Edge> edges = graph_.edges(f.v);
       bool descended = false;
       while (f.edge_pos < edges.size()) {
         const Edge& e = edges[f.edge_pos++];
@@ -313,6 +325,7 @@ class WaitFreedomChecker {
   std::vector<std::uint32_t> index_, lowlink_, scc_id_;
   std::vector<std::uint32_t> scc_size_;
   std::vector<char> on_stack_;
+  std::vector<std::uint8_t> running_;  // pid is running, by node
   std::vector<std::uint32_t> stack_;
 };
 
@@ -375,7 +388,7 @@ StatusOr<TaskReport> check_k_agreement_task(
   const ConfigGraph& graph = graph_or.value();
 
   TaskReport report;
-  report.node_count = graph.nodes().size();
+  report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.interrupted = graph.interrupted();
@@ -383,8 +396,8 @@ StatusOr<TaskReport> check_k_agreement_task(
 
   const std::set<Value> input_set(inputs.begin(), inputs.end());
 
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const sim::Config& config = graph.nodes()[id].config;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    const sim::ConfigView config = graph.view(id);
     const std::vector<Value> decided = decided_values(config);
     if (static_cast<int>(decided.size()) > k) {
       add_violation(&report, options, "agreement",
@@ -401,8 +414,8 @@ StatusOr<TaskReport> check_k_agreement_task(
         break;
       }
     }
-    for (size_t pid = 0; pid < config.procs.size(); ++pid) {
-      if (config.procs[pid].aborted()) {
+    for (int pid = 0; pid < config.process_count(); ++pid) {
+      if (config.proc(pid).aborted()) {
         add_violation(&report, options, "no-abort",
                       "process p" + std::to_string(pid) +
                           " aborted in a k-set-agreement task",
@@ -415,7 +428,7 @@ StatusOr<TaskReport> check_k_agreement_task(
   for (int pid = 0; pid < protocol->process_count(); ++pid) {
     WaitFreedomChecker checker(graph, pid);
     const std::uint32_t bad = checker.find_violation();
-    if (bad < graph.nodes().size()) {
+    if (bad < graph.node_count()) {
       add_violation(
           &report, options, "termination",
           "process p" + std::to_string(pid) +
@@ -467,7 +480,7 @@ StatusOr<TaskReport> check_dac_task(
   const ConfigGraph& graph = graph_or.value();
 
   TaskReport report;
-  report.node_count = graph.nodes().size();
+  report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.interrupted = graph.interrupted();
@@ -475,9 +488,8 @@ StatusOr<TaskReport> check_dac_task(
 
   {
     LBSA_OBS_SPAN(span, "check.properties", obs::kCatPhase, /*lane=*/0);
-    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-      const Node& node = graph.nodes()[id];
-      const sim::Config& config = node.config;
+    for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+      const sim::ConfigView config = graph.view(id);
       const std::vector<Value> decided = decided_values(config);
 
       // Agreement: at most one distinct decision.
@@ -493,8 +505,9 @@ StatusOr<TaskReport> check_dac_task(
       // statement).
       for (Value v : decided) {
         bool witnessed = false;
-        for (size_t pid = 0; pid < config.procs.size(); ++pid) {
-          if (inputs[pid] == v && !config.procs[pid].aborted()) {
+        for (int pid = 0; pid < config.process_count(); ++pid) {
+          if (inputs[static_cast<size_t>(pid)] == v &&
+              !config.proc(pid).aborted()) {
             witnessed = true;
             break;
           }
@@ -508,9 +521,8 @@ StatusOr<TaskReport> check_dac_task(
       }
 
       // Only the distinguished process may abort.
-      for (size_t pid = 0; pid < config.procs.size(); ++pid) {
-        if (config.procs[pid].aborted() &&
-            static_cast<int>(pid) != distinguished_pid) {
+      for (int pid = 0; pid < config.process_count(); ++pid) {
+        if (config.proc(pid).aborted() && pid != distinguished_pid) {
           add_violation(&report, options, "only-p-aborts",
                         "process p" + std::to_string(pid) +
                             " aborted but is not distinguished",
@@ -519,8 +531,7 @@ StatusOr<TaskReport> check_dac_task(
       }
 
       // Nontriviality: p aborted although no other process ever took a step.
-      if (config.procs[static_cast<size_t>(distinguished_pid)].aborted() &&
-          node.flag == 0) {
+      if (config.proc(distinguished_pid).aborted() && graph.flag(id) == 0) {
         add_violation(&report, options, "nontriviality",
                       "p aborted in a run where no other process took a step",
                       format_path(*protocol, graph, id));
@@ -544,7 +555,7 @@ StatusOr<TaskReport> check_dac_task(
     const bool is_p = (pid == distinguished_pid);
     SoloChecker solo(*protocol, graph, complete_unreduced ? &classes : nullptr,
                      pid, /*allow_abort=*/is_p, options.solo_node_bound);
-    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
+    for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
       std::string detail;
       if (!solo.terminates(id, &detail)) {
         add_violation(&report, options,

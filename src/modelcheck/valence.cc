@@ -9,7 +9,7 @@
 namespace lbsa::modelcheck {
 
 ValenceAnalyzer::ValenceAnalyzer(const ConfigGraph& graph) : graph_(graph) {
-  const size_t n = graph.nodes().size();
+  const std::uint32_t n = graph.node_count();
   masks_.assign(n, 0);
 
   // Pass 1: per-node "own" decisions, building the value universe.
@@ -22,18 +22,18 @@ ValenceAnalyzer::ValenceAnalyzer(const ConfigGraph& graph) : graph_(graph) {
     universe_.push_back(v);
     return 1ULL << (universe_.size() - 1);
   };
-  for (size_t id = 0; id < n; ++id) {
-    for (const sim::ProcessState& ps : graph.nodes()[id].config.procs) {
+  for (std::uint32_t id = 0; id < n; ++id) {
+    const sim::ConfigView config = graph.view(id);
+    for (int pid = 0; pid < config.process_count(); ++pid) {
+      const sim::ConfigView::Process ps = config.proc(pid);
       if (ps.decided()) masks_[id] |= bit_of(ps.decision);
     }
   }
 
   // Reverse adjacency for the fixpoint.
   std::vector<std::vector<std::uint32_t>> preds(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Edge& e : graph.edges()[from]) {
-      preds[e.to].push_back(static_cast<std::uint32_t>(from));
-    }
+  for (std::uint32_t from = 0; from < n; ++from) {
+    for (const Edge& e : graph.edges(from)) preds[e.to].push_back(from);
   }
 
   // Worklist fixpoint: mask[u] |= mask[v] for every edge u -> v. Handles
@@ -70,16 +70,16 @@ Value ValenceAnalyzer::univalent_value(std::uint32_t id) const {
 
 std::vector<std::uint32_t> ValenceAnalyzer::critical_nodes() const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t id = 0; id < graph_.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < graph_.node_count(); ++id) {
     if (!is_multivalent(id)) continue;
     bool all_successors_univalent = true;
-    for (const Edge& e : graph_.edges()[id]) {
+    for (const Edge& e : graph_.edges(id)) {
       if (!is_univalent(e.to)) {
         all_successors_univalent = false;
         break;
       }
     }
-    if (all_successors_univalent && !graph_.edges()[id].empty()) {
+    if (all_successors_univalent && !graph_.edges(id).empty()) {
       out.push_back(id);
     }
   }
@@ -88,7 +88,7 @@ std::vector<std::uint32_t> ValenceAnalyzer::critical_nodes() const {
 
 std::vector<std::uint32_t> ValenceAnalyzer::multivalent_nodes() const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t id = 0; id < graph_.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < graph_.node_count(); ++id) {
     if (is_multivalent(id)) out.push_back(id);
   }
   return out;

@@ -183,6 +183,7 @@ constexpr FieldSpec kBenchRowFields[] = {
     {.name = "nodes", .kind = K::kNumber, .required = false},
     {.name = "nodes_per_sec", .kind = K::kNumber, .required = false},
     {.name = "reduction_ratio", .kind = K::kNumber, .required = false},
+    {.name = "bytes_per_node", .kind = K::kNumber, .required = false},
     {.name = "threads", .kind = K::kNumber, .required = false},
     {.name = "threads_available", .kind = K::kNumber, .required = false},
     {.name = "requests", .kind = K::kNumber, .required = false},

@@ -56,27 +56,34 @@ int Config::enabled_count() const {
   return count;
 }
 
-StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
+Status decode_config_into(std::span<const std::int64_t> words,
+                          Config* out) {
   std::size_t pos = 0;
-  auto take = [&](std::int64_t* out) -> bool {
+  auto left = [&] { return words.size() - pos; };
+  auto take = [&](std::int64_t* w) -> bool {
     if (pos >= words.size()) return false;
-    *out = words[pos++];
+    *w = words[pos++];
     return true;
   };
   auto malformed = [](const std::string& what) {
     return invalid_argument("decode_config: " + what);
   };
+  // A slice of the next `count` words; the caller bounds count first.
+  auto slice = [&](std::int64_t count) {
+    const auto b = words.begin() + static_cast<std::ptrdiff_t>(pos);
+    pos += static_cast<std::size_t>(count);
+    return std::span<const std::int64_t>(b, static_cast<std::size_t>(count));
+  };
 
-  Config config;
   std::int64_t proc_count = 0;
   if (!take(&proc_count)) return malformed("missing process count");
-  if (proc_count < 0 || proc_count > 1'000'000) {
+  // Each process record takes at least 4 words.
+  if (proc_count < 0 || static_cast<std::uint64_t>(proc_count) > left() / 4) {
     return malformed("implausible process count " +
                      std::to_string(proc_count));
   }
-  config.procs.reserve(static_cast<std::size_t>(proc_count));
-  for (std::int64_t i = 0; i < proc_count; ++i) {
-    ProcessState ps;
+  out->procs.resize(static_cast<std::size_t>(proc_count));
+  for (ProcessState& ps : out->procs) {
     std::int64_t status = 0;
     std::int64_t local_count = 0;
     if (!take(&status) || !take(&ps.decision) || !take(&ps.pc) ||
@@ -87,38 +94,61 @@ StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
       return malformed("bad process status " + std::to_string(status));
     }
     ps.status = static_cast<ProcStatus>(status);
-    if (local_count < 0 ||
-        static_cast<std::size_t>(local_count) > words.size() - pos) {
+    if (local_count < 0 || static_cast<std::uint64_t>(local_count) > left()) {
       return malformed("bad locals count " + std::to_string(local_count));
     }
-    ps.locals.assign(words.begin() + static_cast<std::ptrdiff_t>(pos),
-                     words.begin() + static_cast<std::ptrdiff_t>(
-                                         pos + static_cast<std::size_t>(
-                                                   local_count)));
-    pos += static_cast<std::size_t>(local_count);
-    config.procs.push_back(std::move(ps));
+    const auto locals = slice(local_count);
+    ps.locals.assign(locals.begin(), locals.end());
   }
   std::int64_t object_count = 0;
   if (!take(&object_count)) return malformed("missing object count");
-  if (object_count < 0 || object_count > 1'000'000) {
+  // Each object takes at least its size word.
+  if (object_count < 0 || static_cast<std::uint64_t>(object_count) > left()) {
     return malformed("implausible object count " +
                      std::to_string(object_count));
   }
-  config.objects.reserve(static_cast<std::size_t>(object_count));
-  for (std::int64_t i = 0; i < object_count; ++i) {
+  out->objects.resize(static_cast<std::size_t>(object_count));
+  for (std::vector<std::int64_t>& obj : out->objects) {
     std::int64_t size = 0;
     if (!take(&size)) return malformed("truncated object state");
-    if (size < 0 || static_cast<std::size_t>(size) > words.size() - pos) {
+    if (size < 0 || static_cast<std::uint64_t>(size) > left()) {
       return malformed("bad object state size " + std::to_string(size));
     }
-    config.objects.emplace_back(
-        words.begin() + static_cast<std::ptrdiff_t>(pos),
-        words.begin() +
-            static_cast<std::ptrdiff_t>(pos + static_cast<std::size_t>(size)));
-    pos += static_cast<std::size_t>(size);
+    const auto state = slice(size);
+    obj.assign(state.begin(), state.end());
   }
   if (pos != words.size()) return malformed("trailing words");
+  return Status::ok();
+}
+
+StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
+  Config config;
+  if (Status s = decode_config_into(words, &config); !s.is_ok()) return s;
   return config;
+}
+
+ConfigView::Process ConfigView::proc(int pid) const {
+  std::size_t pos = 1;
+  for (int p = 0; p < pid; ++p) {
+    pos += 4 + static_cast<std::size_t>(words_[pos + 3]);
+  }
+  Process out;
+  out.status = static_cast<ProcStatus>(words_[pos]);
+  out.decision = words_[pos + 1];
+  out.pc = words_[pos + 2];
+  out.locals =
+      words_.subspan(pos + 4, static_cast<std::size_t>(words_[pos + 3]));
+  return out;
+}
+
+int ConfigView::enabled_count() const {
+  int count = 0;
+  std::size_t pos = 1;
+  for (int p = 0; p < process_count(); ++p) {
+    if (static_cast<ProcStatus>(words_[pos]) == ProcStatus::kRunning) ++count;
+    pos += 4 + static_cast<std::size_t>(words_[pos + 3]);
+  }
+  return count;
 }
 
 Config initial_config(const Protocol& protocol) {

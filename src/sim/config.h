@@ -59,7 +59,44 @@ Config initial_config(const Protocol& protocol);
 // encoding. INVALID_ARGUMENT on malformed input (bad counts, short buffers,
 // trailing words, out-of-range status) — used by the model checker's
 // checkpoint loader, which must reject corrupt files rather than crash.
+// Every count is bounded by the words left before anything is reserved.
 StatusOr<Config> decode_config(std::span<const std::int64_t> words);
+// The same decode into *out, reusing its vectors' capacity (the explorer
+// decodes each node it expands into one per-worker Config). *out is
+// unspecified on error.
+Status decode_config_into(std::span<const std::int64_t> words, Config* out);
+
+// A read-only view of one configuration's word encoding (Config::encode()),
+// for scans over a stored graph: process status, decision and pc read
+// straight off the words, with no decode and no allocation. The words must
+// be a well-formed encoding (as every node a graph stores is); a view does
+// not check them. Reading process pid walks the pid records before it.
+class ConfigView {
+ public:
+  struct Process {
+    ProcStatus status = ProcStatus::kRunning;
+    Value decision = kNil;
+    std::int64_t pc = 0;
+    std::span<const std::int64_t> locals;
+
+    bool running() const { return status == ProcStatus::kRunning; }
+    bool decided() const { return status == ProcStatus::kDecided; }
+    bool aborted() const { return status == ProcStatus::kAborted; }
+    bool crashed() const { return status == ProcStatus::kCrashed; }
+  };
+
+  explicit ConfigView(std::span<const std::int64_t> words) : words_(words) {}
+
+  int process_count() const { return static_cast<int>(words_[0]); }
+  Process proc(int pid) const;
+  bool enabled(int pid) const { return proc(pid).running(); }
+  int enabled_count() const;
+  bool halted() const { return enabled_count() == 0; }
+  std::span<const std::int64_t> words() const { return words_; }
+
+ private:
+  std::span<const std::int64_t> words_;
+};
 
 // One recorded step: process pid performed `action` and (for invokes)
 // received `response` as the outcome_choice-th outcome.

@@ -14,6 +14,7 @@
 //     exact prefix of the uninterrupted exploration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -61,7 +62,8 @@ void expect_identical(const ConfigGraph& a, const ConfigGraph& b) {
         << "config mismatch at node " << id;
     EXPECT_EQ(a.nodes()[id].flag, b.nodes()[id].flag);
     EXPECT_EQ(a.nodes()[id].depth, b.nodes()[id].depth);
-    ASSERT_EQ(a.edges()[id], b.edges()[id]) << "edges mismatch at " << id;
+    ASSERT_TRUE(std::ranges::equal(a.edges(id), b.edges(id)))
+        << "edges mismatch at " << id;
     EXPECT_EQ(a.path_to(id), b.path_to(id)) << "path mismatch at " << id;
   }
 }
@@ -309,6 +311,34 @@ TEST(Checkpoint, CorruptFilesRejected) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.to_string();
+  }
+}
+
+// A checkpoint whose node words decode but do not fit the protocol (one
+// process too few) is rejected on resume by both engines. It is written
+// with write_explore_checkpoint, which stamps a valid payload hash, so the
+// mutant passes the reader and reaches the shape check.
+TEST(Checkpoint, WrongShapeNodeRejectedOnResume) {
+  const NamedTask task = get_task("dac3-sym");
+  const std::string path = temp_path("shape.ckpt");
+  ExploreCheckpoint cp = interrupt_and_read(task, Reduction::kNone, 2, path);
+  auto node = sim::decode_config(cp.node_words[1]);
+  ASSERT_TRUE(node.is_ok());
+  node.value().procs.pop_back();
+  cp.node_words[1] = node.value().encode();
+  ASSERT_TRUE(write_explore_checkpoint(cp, path).is_ok());
+  auto mutant = read_explore_checkpoint(path);
+  ASSERT_TRUE(mutant.is_ok()) << mutant.status().to_string();
+  for (ExploreEngine engine :
+       {ExploreEngine::kSerial, ExploreEngine::kWorkStealing}) {
+    ExploreOptions opts;
+    opts.engine = engine;
+    opts.threads = 2;
+    opts.resume = &mutant.value();
+    const auto graph = Explorer(task.protocol).explore(opts);
+    EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(graph.status().message().find("processes"), std::string::npos)
+        << graph.status().to_string();
   }
 }
 

@@ -76,7 +76,7 @@ TEST(TheoremFourTwoClaims, Claim423_TerminalPConfigsAreUnivalent) {
   // univalent.
   const Analyzed a = analyze_theorem_42_instance(3);
   for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
-    const auto& p_state = a.graph.nodes()[id].config.procs[0];
+    const sim::ProcessState p_state = a.graph.nodes()[id].config.procs[0];
     if (p_state.aborted() || p_state.decided()) {
       EXPECT_LE(a.analyzer->reachable_count(id), 1) << "config " << id;
     }
@@ -102,7 +102,7 @@ TEST(TheoremFourTwoClaims, ValenceFlipsOnlyThroughTheSharedObject) {
   const Analyzed a = analyze_theorem_42_instance(3);
   int sibling_pairs = 0;
   for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
-    const auto& edges = a.graph.edges()[id];
+    const auto& edges = a.graph.edges(id);
     for (size_t i = 0; i < edges.size(); ++i) {
       for (size_t j = i + 1; j < edges.size(); ++j) {
         if (!a.analyzer->is_univalent(edges[i].to) ||

@@ -96,7 +96,7 @@ TEST(Critical, AnalyzeArbitraryNodeIncludesLocalSteps) {
   auto protocol = make_consensus_via_n_consensus({100, 101});
   Explorer explorer(protocol);
   auto graph = std::move(explorer.explore()).value();
-  const auto& edges = graph.edges()[graph.root()];
+  const auto& edges = graph.edges(graph.root());
   ASSERT_FALSE(edges.empty());
   const CriticalInfo info =
       analyze_pending_steps(*protocol, graph, edges[0].to);

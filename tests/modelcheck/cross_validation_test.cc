@@ -90,7 +90,7 @@ TEST(CrossValidation, GraphEdgeCountsMatchOutcomeCounts) {
             sim::outcome_count(*protocol, config, pid));
       }
     }
-    EXPECT_EQ(graph.edges()[id].size(), expected) << "node " << id;
+    EXPECT_EQ(graph.edges(id).size(), expected) << "node " << id;
   }
 }
 

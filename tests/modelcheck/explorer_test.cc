@@ -35,7 +35,7 @@ TEST(Explorer, TwoProcessConsensusGraphIsComplete) {
   // Every node has one outgoing edge per enabled process (object is
   // deterministic here).
   for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    EXPECT_EQ(graph.edges()[id].size(),
+    EXPECT_EQ(graph.edges(id).size(),
               static_cast<size_t>(graph.nodes()[id].config.enabled_count()));
   }
   // Terminal nodes exist; in each, all processes agree on the first
@@ -63,7 +63,7 @@ TEST(Explorer, NondeterministicOutcomesBranch) {
   // Some node must have more edges than enabled processes (the 2-SA branch).
   bool saw_branching = false;
   for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    if (graph.edges()[id].size() >
+    if (graph.edges(id).size() >
         static_cast<size_t>(graph.nodes()[id].config.enabled_count())) {
       saw_branching = true;
     }
@@ -96,7 +96,7 @@ TEST(Explorer, TruncationReturnsConsistentPartialGraph) {
   EXPECT_LT(graph.nodes().size(), full.value().nodes().size());
   // All edges stay inside the partial node set, and every node replays.
   for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    for (const Edge& e : graph.edges()[id]) {
+    for (const Edge& e : graph.edges(id)) {
       EXPECT_LT(e.to, graph.nodes().size());
     }
     sim::Config config = sim::initial_config(*protocol);
@@ -129,9 +129,9 @@ TEST(Explorer, TruncatedNodesAreKeptButNeverExpanded) {
   int unexpanded = 0;
   for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
     const Node& node = graph.nodes()[id];
-    if (graph.edges()[id].empty() && node.config.enabled_count() > 0) {
+    if (graph.edges(id).empty() && node.config.enabled_count() > 0) {
       ++unexpanded;
-    } else if (!graph.edges()[id].empty()) {
+    } else if (!graph.edges(id).empty()) {
       // A partial expansion would break the per-node edge invariant used
       // by cross-validation (edge count == sum of outcome counts).
       std::size_t expected = 0;
@@ -141,7 +141,7 @@ TEST(Explorer, TruncatedNodesAreKeptButNeverExpanded) {
         expected += static_cast<std::size_t>(
             sim::outcome_count(*protocol, node.config, pid));
       }
-      EXPECT_EQ(graph.edges()[id].size(), expected) << "node " << id;
+      EXPECT_EQ(graph.edges(id).size(), expected) << "node " << id;
     }
   }
   EXPECT_GT(unexpanded, 0);

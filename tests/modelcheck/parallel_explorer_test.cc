@@ -7,6 +7,7 @@
 // built.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -34,7 +35,7 @@ void expect_identical(const ConfigGraph& serial, const ConfigGraph& parallel,
     ASSERT_TRUE(a.config == b.config) << "config mismatch at node " << id;
     EXPECT_EQ(a.flag, b.flag) << "flag mismatch at node " << id;
     EXPECT_EQ(a.depth, b.depth) << "depth mismatch at node " << id;
-    ASSERT_EQ(serial.edges()[id], parallel.edges()[id])
+    ASSERT_TRUE(std::ranges::equal(serial.edges(id), parallel.edges(id)))
         << "edge list mismatch at node " << id;
     EXPECT_EQ(serial.path_to(id), parallel.path_to(id))
         << "parent chain mismatch at node " << id;
@@ -137,7 +138,7 @@ TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
     EXPECT_TRUE(graph.truncated());
     EXPECT_GT(graph.nodes().size(), 50u);  // kept nodes overshoot the budget
     for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-      for (const Edge& e : graph.edges()[id]) {
+      for (const Edge& e : graph.edges(id)) {
         ASSERT_LT(e.to, graph.nodes().size());
       }
       sim::Config config = sim::initial_config(*protocol);

@@ -32,7 +32,7 @@ TEST(ValenceAnalyzer, ConsensusViaObjectInitialConfigIsBivalent) {
   // Both decision values are observed.
   ASSERT_EQ(analyzer.universe().size(), 2u);
   // Every successor of the root is univalent: the first propose decides.
-  for (const Edge& e : graph.edges()[graph.root()]) {
+  for (const Edge& e : graph.edges(graph.root())) {
     EXPECT_TRUE(analyzer.is_univalent(e.to));
   }
   // So the root is a critical configuration.
@@ -44,7 +44,7 @@ TEST(ValenceAnalyzer, ConsensusViaObjectInitialConfigIsBivalent) {
 TEST(ValenceAnalyzer, UnivalentValueMatchesWinner) {
   const ConfigGraph graph = explore(make_consensus_via_n_consensus({0, 1}));
   ValenceAnalyzer analyzer(graph);
-  for (const Edge& e : graph.edges()[graph.root()]) {
+  for (const Edge& e : graph.edges(graph.root())) {
     const std::uint32_t succ = e.to;
     ASSERT_TRUE(analyzer.is_univalent(succ));
     // The winner is the pid that proposed first (pid == its input here).
@@ -79,8 +79,8 @@ TEST(ValenceAnalyzer, FlpRaceLivelockCycleIsUnivalent) {
   color[graph.root()] = 1;
   while (!stack.empty() && cycle_node == n) {
     auto& [v, pos] = stack.back();
-    if (pos < graph.edges()[v].size()) {
-      const std::uint32_t to = graph.edges()[v][pos++].to;
+    if (pos < graph.edges(v).size()) {
+      const std::uint32_t to = graph.edges(v)[pos++].to;
       if (color[to] == 0) {
         color[to] = 1;
         stack.push_back({to, 0});

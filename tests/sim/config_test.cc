@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "protocols/dac_from_pac.h"
 #include "protocols/one_shot.h"
 
@@ -56,6 +58,58 @@ TEST(Config, EncodeIntoMatchesEncodeAndReservesExactly) {
     EXPECT_EQ(fresh.capacity(), config.encoded_size());
     apply_step(*protocol, &config, step % 3, 0);
   }
+}
+
+TEST(Config, DecodeRoundTripsAndViewReadsTheWords) {
+  auto protocol = std::make_shared<DacFromPacProtocol>(
+      std::vector<Value>{10, 20, 30});
+  Config config = initial_config(*protocol);
+  Config reused;
+  for (int step = 0; step < 8 && !config.halted(); ++step) {
+    const std::vector<std::int64_t> words = config.encode();
+    auto decoded = decode_config(words);
+    ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded.value(), config);
+    ASSERT_TRUE(decode_config_into(words, &reused).is_ok());
+    EXPECT_EQ(reused, config);
+
+    const ConfigView view(words);
+    ASSERT_EQ(view.process_count(), static_cast<int>(config.procs.size()));
+    for (int pid = 0; pid < view.process_count(); ++pid) {
+      const ProcessState& ps = config.procs[static_cast<size_t>(pid)];
+      const ConfigView::Process vp = view.proc(pid);
+      EXPECT_EQ(vp.status, ps.status);
+      EXPECT_EQ(vp.decision, ps.decision);
+      EXPECT_EQ(vp.pc, ps.pc);
+      EXPECT_TRUE(std::ranges::equal(vp.locals, ps.locals));
+    }
+    EXPECT_EQ(view.enabled_count(), config.enabled_count());
+    EXPECT_EQ(view.halted(), config.halted());
+    int pid = step % 3;
+    while (!config.enabled(pid)) pid = (pid + 1) % 3;
+    apply_step(*protocol, &config, pid, 0);
+  }
+}
+
+// Counts are checked against the words left before anything is reserved:
+// a two-word input claiming a million processes fails at once.
+TEST(Config, DecodeRejectsCountsBeyondTheWordsLeft) {
+  const std::vector<std::vector<std::int64_t>> malformed = {
+      {1000000, 0},
+      {0, 1000000},
+      {1, 0, 0, 0, 1000000, 0},
+      {0, 1, 1000000},
+      {-1, 0},
+      {0, -1},
+      {1, 0, 0, 0},  // a process record needs four words
+      {0, 0, 7},     // trailing word
+  };
+  for (const auto& words : malformed) {
+    const auto decoded = decode_config(words);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << words.size() << " words";
+  }
+  EXPECT_TRUE(decode_config(std::vector<std::int64_t>{0, 0}).is_ok());
 }
 
 TEST(Config, ApplyStepAdvancesOneProcessOnly) {

@@ -11,6 +11,7 @@
 // Timing-sensitive results (throughput, scaling) intentionally live in the
 // bench binaries instead; see bench_output.txt.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -509,7 +510,7 @@ void e10_meta() {
       steps += bound.has_value() ? std::to_string(*bound) : "∞";
     }
     std::printf("| %s | %zu | %llu | %zu | %s |\n", row.label,
-                graph.value().nodes().size(),
+                graph.value().node_count(),
                 static_cast<unsigned long long>(
                     graph.value().transition_count()),
                 analyzer.critical_nodes().size(), steps.c_str());
@@ -531,12 +532,12 @@ void e10_meta() {
     if (identical) {
       const auto& a = serial.value();
       const auto& b = parallel.value();
-      identical = a.nodes().size() == b.nodes().size() &&
+      identical = a.node_count() == b.node_count() &&
                   a.transition_count() == b.transition_count();
-      for (std::uint32_t id = 0; identical && id < a.nodes().size(); ++id) {
-        identical = a.nodes()[id].config == b.nodes()[id].config &&
-                    a.nodes()[id].depth == b.nodes()[id].depth &&
-                    a.edges()[id] == b.edges()[id] &&
+      for (std::uint32_t id = 0; identical && id < a.node_count(); ++id) {
+        identical = std::ranges::equal(a.words(id), b.words(id)) &&
+                    a.depth(id) == b.depth(id) &&
+                    std::ranges::equal(a.edges(id), b.edges(id)) &&
                     a.path_to(id) == b.path_to(id);
       }
     }

@@ -52,10 +52,12 @@
 
 namespace {
 
-int usage() {
+// Usage on `out`; returns the exit code: 0 when asked for (--help), 2 on
+// a bad command line.
+int usage(std::FILE* out = stderr, int code = 2) {
   std::fprintf(
-      stderr,
-      "usage: explorer_cli --list\n"
+      out,
+      "usage: explorer_cli --list | --help\n"
       "       explorer_cli <task> [--threads N]\n"
       "                    [--engine auto|serial|workstealing]\n"
       "                    [--max-nodes N] [--allow-truncation]\n"
@@ -66,7 +68,7 @@ int usage() {
       "                    [--resume PATH] [--run-nonce NONCE]\n"
       "                    [--metrics-json PATH] [--trace-out PATH]\n"
       "                    [--heartbeat-out PATH] [--heartbeat-every S]\n");
-  return 2;
+  return code;
 }
 
 lbsa::modelcheck::CancelToken g_cancel;
@@ -85,6 +87,9 @@ extern "C" void on_sigint(int) {
 int main(int argc, char** argv) {
   using namespace lbsa;
   if (argc < 2) return usage();
+  if (!std::strcmp(argv[1], "--help") || !std::strcmp(argv[1], "-h")) {
+    return usage(stdout, 0);
+  }
 
   if (!std::strcmp(argv[1], "--list")) {
     for (const std::string& name : modelcheck::named_task_names()) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # run_report.sh — produce the per-commit observability artifact
-# BENCH_modelcheck.json (grown from the old bench_modelcheck_json.sh): a
+# BENCH_modelcheck.json: a
 # sweep of explorer_cli run reports over small exhaustively-explorable
 # tasks at several thread counts, merged under the versioned bench schema
 #
@@ -12,7 +12,8 @@
 #                     "reduction_ratio": X}, ...,
 #                    {"task": "dac5", "engine": "workstealing", "threads": 4,
 #                     "threads_available": C, "reduction": "none",
-#                     "nodes": N, "nodes_per_sec": R}, ...],
+#                     "nodes": N, "nodes_per_sec": R,
+#                     "bytes_per_node": B}, ...],
 #    "run_reports": {"explorer_cli:dac3:t1": <RunReport>, ...}}
 #
 # The second row shape is the state-space-reduction sweep (docs/checking.md,
@@ -21,7 +22,9 @@
 # The third is the engine sweep (docs/checking.md, "Engine selection"):
 # bench-sized tasks explored by every engine; threads_available records how
 # many cores the host really had, since a parallel-vs-serial comparison from
-# a 1-core CI box measures per-node overhead, not speedup. A fourth row
+# a 1-core CI box measures per-node overhead, not speedup; bytes_per_node
+# is the finished graph's memory_bytes() (the run report's volatile
+# explore.graph.bytes gauge) over its node count. A fourth row
 # shape, {"task": "dac5", "obs": "heartbeat"|"disabled", ...}, is the
 # observability-overhead pair (docs/observability.md): the same exploration
 # once with a 1s heartbeat sampler attached and once under the
@@ -43,8 +46,7 @@
 # Usage: tools/run_report.sh [build-dir] [output.json] [--with-bench]
 #
 # --with-bench additionally runs the Google-Benchmark exploration suite
-# (bench/bench_modelcheck, the old behaviour of bench_modelcheck_json.sh)
-# and embeds its raw JSON under a "gbench" key.
+# (bench/bench_modelcheck) and embeds its raw JSON under a "gbench" key.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -101,7 +103,8 @@ ROW_TIMEOUT="${ROW_TIMEOUT:-120}"
 #   "dac3: 441 nodes, 1234 transitions, depth 12"
 #   "  reduction=both: >=441 full-graph nodes, ratio 3.21x"   (reduction only)
 #   "  elapsed 0.012345 s, 35773 nodes/s"
-# and sets $NODES, $NODES_PER_SEC, $RATIO.
+# and sets $NODES, $NODES_PER_SEC, $RATIO, plus $GRAPH_BYTES from the
+# report's explore.graph.bytes gauge.
 run_explorer_once() {
   local task="$1" t="$2" reduction="$3" engine="$4" report="$5" out rc attempt
   for attempt in 1 2; do
@@ -122,6 +125,8 @@ run_explorer_once() {
       's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p' <<<"$out")"
   RATIO="$(sed -nE 's/^ *reduction=.*ratio ([0-9.]+)x$/\1/p' <<<"$out")"
   [[ -n "$RATIO" ]] || RATIO=1.00
+  GRAPH_BYTES="$(sed -nE \
+      's/.*"explore\.graph\.bytes": *([0-9]+).*/\1/p' "$report")"
 }
 
 # run_explorer TASK THREADS REDUCTION ENGINE REPORT_PATH
@@ -172,7 +177,8 @@ run_explorer() {
             "$task" "$engine" "$t"
         printf ',"threads_available":%d,"reduction":"%s"' \
             "$THREADS_AVAILABLE" "$red"
-        printf ',"nodes":%s,"nodes_per_sec":%s}' "$NODES" "$NODES_PER_SEC"
+        printf ',"nodes":%s,"nodes_per_sec":%s' "$NODES" "$NODES_PER_SEC"
+        printf ',"bytes_per_node":%s}' "$((GRAPH_BYTES / NODES))"
       done
     done
   done

@@ -41,9 +41,12 @@
 // Thread-safety contract: intern_batch()/intern() may run concurrently
 // from any number of threads (each with its OWN arena and tally).
 // payload_mut() may be called only by the thread whose intern inserted the
-// id, until quiescence. payload()/key()/id_bound()/stats() are
-// quiescent-only: establish happens-before (level barrier / thread join)
-// between the last intern and the first read.
+// id, until quiescence. id_bound()/stats() are quiescent-only: establish
+// happens-before (thread join) between the last intern and the first read.
+// payload()/key() of one id may also be read before quiescence by a thread
+// that received the id through a synchronizing handoff after its insertion
+// (the explorer's work queues): the entry is written before the id is
+// published and never moves.
 #ifndef LBSA_MODELCHECK_BATCH_INTERN_H_
 #define LBSA_MODELCHECK_BATCH_INTERN_H_
 
@@ -173,7 +176,7 @@ class BatchInternTable {
   // bound on fully-published insertions.
   std::uint64_t size() const { return size_.load(std::memory_order_acquire); }
 
-  // Quiescent-only: payload of a published id.
+  // Payload of a published id (see the thread-safety contract above).
   const Payload& payload(std::uint32_t id) const {
     return entry_of(id).payload;
   }
@@ -182,8 +185,8 @@ class BatchInternTable {
   // other thread only after.
   Payload& payload_mut(std::uint32_t id) { return entry_of(id).payload; }
 
-  // Quiescent-only: the interned key words of a published id (points into
-  // the inserter's arena).
+  // The interned key words of a published id (points into the inserter's
+  // arena; see the thread-safety contract above).
   std::span<const std::int64_t> key(std::uint32_t id) const {
     const Entry& e = entry_of(id);
     return {e.key, e.len};
